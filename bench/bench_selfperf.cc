@@ -122,29 +122,6 @@ BM_EngineDecodeRun(benchmark::State &state)
 }
 BENCHMARK(BM_EngineDecodeRun);
 
-/**
- * The same decode run on the legacy per-iteration stepper
- * (serve::EngineCore::Legacy). BM_EngineDecodeRun above uses the
- * default event-driven core, so this pair keeps the cores' relative
- * cost on the selfperf record (the event core must never be slower)
- * next to the differential suite that proves them byte-identical
- * (tests/serve/test_engine_equiv.cc).
- */
-void
-BM_EngineDecodeRunLegacy(benchmark::State &state)
-{
-    models::LlamaModel model(models::LlamaConfig::llama31_8b());
-    for (auto _ : state) {
-        serve::EngineConfig ec;
-        ec.maxDecodeBatch = 8;
-        ec.core = serve::EngineCore::Legacy;
-        serve::Engine engine(model, ec);
-        auto m = engine.run(serve::makeFixedTrace(8, 128, 32));
-        benchmark::DoNotOptimize(m.makespan);
-    }
-}
-BENCHMARK(BM_EngineDecodeRunLegacy);
-
 /** One Figure-12 sweep point: monolithic prefill + integrated decode. */
 void
 BM_Fig12SweepPoint(benchmark::State &state)

@@ -23,7 +23,7 @@
  * breakdown on first invocation, so a copy taken *before* any
  * invocation is the only safe thing to re-run. Replay goes through
  * the public counter API, so a hit inside an enclosing capture (a
- * pool worker's prefetch window) defers outward exactly like the
+ * sweep point on a pool worker) defers outward exactly like the
  * fresh evaluation would have. Net effect: **cache on and cache off
  * produce bitwise-identical counters, histograms and attribution at
  * any thread count** — the property tests/property/prop_replay_cache.cc

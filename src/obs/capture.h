@@ -118,9 +118,8 @@ class ScopedCapture
  * host-side bookkeeping (e.g. the replay cache's own hit/miss/evict
  * counters) that must reflect what the process actually did: such
  * counters are excluded from the deterministic metrics document, and
- * deferring them into a capture log would lose them entirely when the
- * log is never replayed (an unread prefetch window) or double-count
- * them when a stored log is replayed per cache hit.
+ * deferring them into a capture log would double-count them when a
+ * stored log is replayed per cache hit.
  */
 class CaptureBypass
 {

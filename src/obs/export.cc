@@ -160,8 +160,8 @@ metricsJson(const CounterRegistry &registry, const MetricsMeta &meta)
         if (c.name.rfind("runtime.", 0) == 0)
             continue;
         // Likewise `replay.*`: the replay cache's hit/miss/evict
-        // counts depend on thread count (prefetch windows populate
-        // the cache) and on process history, while the cache's
+        // counts depend on thread count (concurrent sweep points race
+        // to fill the cache) and on process history, while the cache's
         // *replayed effects* are what keeps the rest of this document
         // bitwise cache-invariant (graph/replay_cache.h).
         if (c.name.rfind("replay.", 0) == 0)

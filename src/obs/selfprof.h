@@ -6,8 +6,8 @@
  *
  * The AttributionLedger (obs/attrib.h) explains simulated cycles; this
  * ledger mirrors its discipline on the simulator's wall-clock
- * nanoseconds, so ROADMAP item 2 (event-driven core + trace
- * memoization) can be measured before and after. A fixed taxonomy —
+ * nanoseconds, so engine and memoization changes can be measured
+ * before and after. A fixed taxonomy —
  * kernel_eval, trace_record, graph_build, engine_step, alloc,
  * telemetry_export, other — with three guarantees:
  *
@@ -39,10 +39,12 @@
  *
  * Exported as the optional "host" section of vespera-metrics/v2.1
  * (bench --selfprof) and as counter tracks on the Host group of the
- * Perfetto trace. The section is opt-in because engine-step cache
- * hit/miss counts legitimately vary with --threads (the decode
- * prefetch window) — the core metrics document stays byte-identical at
- * any thread count (docs/runtime.md).
+ * Perfetto trace. The section is opt-in because its wall times are
+ * machine-dependent and the replay caches' hit/miss split varies with
+ * --threads (concurrent sweep points race to fill the shared caches);
+ * the engine's own step-memo split is a pure function of the
+ * schedule. The core metrics document stays byte-identical at any
+ * thread count (docs/runtime.md).
  */
 
 #ifndef VESPERA_OBS_SELFPROF_H
@@ -161,11 +163,12 @@ class SelfProf
 
     /// @name Kernel-eval cache counters (`selfprof.kernel_eval.*`).
     /// The key identifies one memoizable evaluation —
-    /// kernel×shape×device×granularity — so the replay cache of
-    /// ROADMAP item 2 lands against existing instrumentation. These
-    /// live here, not in the CounterRegistry: hit/miss splits vary
-    /// with --threads (prefetch windows), so they must stay out of
-    /// the deterministic "counters" section.
+    /// kernel×shape×device×granularity — fed by the engine's step
+    /// memo and the replay caches (graph/replay_cache.h). These live
+    /// here, not in the CounterRegistry: the replay caches' hit/miss
+    /// split varies with --threads (concurrent sweep points share
+    /// them), so they must stay out of the deterministic "counters"
+    /// section.
     /// @{
     void cacheHit(const std::string &key);
     void cacheMiss(const std::string &key);

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "obs/capture.h"
 #include "obs/selfprof.h"
-#include "runtime/pool.h"
 #include "serve/engine_run.h"
 
 namespace vespera::serve {
@@ -78,10 +78,9 @@ Engine::decodeStepTime(int batch, std::int64_t mean_ctx)
     auto it = decodeCache_.find(key);
     if (obs::SelfProf::instance().enabled()) {
         // Self-profile cache accounting, keyed kernel x shape x device
-        // x bucket granularity. Hit/miss splits shift with --threads
-        // (the prefetch window below pre-inserts entries), which is why
-        // these live in SelfProf and never in the deterministic
-        // counter registry.
+        // x bucket granularity. The split is a pure function of the
+        // schedule, but it measures host work, so it lives in SelfProf
+        // and never in the deterministic counter registry.
         const std::string ck =
             strfmt("decode|%s|b%d|ctx%lld", deviceName(config_.device),
                    batch, static_cast<long long>(bucket));
@@ -91,42 +90,13 @@ Engine::decodeStepTime(int batch, std::int64_t mean_ctx)
             obs::SelfProf::instance().cacheHit(ck);
     }
     if (it == decodeCache_.end()) {
-        runtime::Pool &pool = runtime::Pool::global();
-        const int fan = pool.threads();
-        if (fan > 1) {
-            // Speculative prefetch: decode context grows one token per
-            // step, so the misses that follow this one are the next
-            // ctx buckets at the same batch. Evaluate a pool-wide
-            // window of them now, capturing each evaluation's counter
-            // effects; CachedStep::use replays a capture only when the
-            // serial schedule first reads that entry, so entries the
-            // schedule never reads leave no counter footprint and the
-            // op sequence matches single-threaded execution exactly.
-            std::vector<std::pair<std::int64_t, CachedStep>> window(
-                static_cast<std::size_t>(fan));
-            pool.run(window.size(), [&](std::size_t i) {
-                const std::int64_t b =
-                    bucket + 64 * static_cast<std::int64_t>(i);
-                window[i].first = b;
-                obs::ScopedCapture cap(window[i].second.log);
-                window[i].second.c = costOf(model_.stepReport(
-                    config_.device, batch, 1, b, false, servingCfg_));
-            });
-            for (auto &entry : window) {
-                decodeCache_.emplace(
-                    std::make_pair(batch, entry.first),
-                    std::move(entry.second));
-            }
-        } else {
-            CachedStep step;
-            step.c = costOf(model_.stepReport(config_.device, batch, 1,
-                                              bucket, false, servingCfg_));
-            step.replayed = true; // Eager: effects already applied.
-            decodeCache_.emplace(key, std::move(step));
-        }
-        it = decodeCache_.find(key);
+        it = decodeCache_
+                 .emplace(key, costOf(model_.stepReport(
+                                   config_.device, batch, 1, bucket,
+                                   false, servingCfg_)))
+                 .first;
     }
-    return it->second.use();
+    return it->second;
 }
 
 StepCost
@@ -143,59 +113,13 @@ Engine::prefillStepTime(int input_len)
             obs::SelfProf::instance().cacheHit(ck);
     }
     if (it == prefillCache_.end()) {
-        CachedStep step;
-        step.c = costOf(model_.stepReport(config_.device, 1, bucket,
-                                          bucket, true, servingCfg_));
-        step.replayed = true; // Eager: effects already applied.
-        it = prefillCache_.emplace(bucket, std::move(step)).first;
+        it = prefillCache_
+                 .emplace(bucket, costOf(model_.stepReport(
+                                      config_.device, 1, bucket, bucket,
+                                      true, servingCfg_)))
+                 .first;
     }
-    return it->second.use();
-}
-
-void
-Engine::prewarmPrefill(const std::vector<Request> &trace)
-{
-    // Monolithic prefill cost depends only on the input-length bucket,
-    // so the full set of evaluations the run will need is known up
-    // front. Fill the cache across the pool; effects replay at first
-    // read (see decodeStepTime).
-    runtime::Pool &pool = runtime::Pool::global();
-    if (pool.threads() <= 1 || config_.chunkedPrefillTokens > 0)
-        return;
-
-    std::vector<int> buckets;
-    buckets.reserve(trace.size());
-    for (const Request &r : trace)
-        buckets.push_back((r.inputLen + 63) / 64 * 64);
-    std::sort(buckets.begin(), buckets.end());
-    buckets.erase(std::unique(buckets.begin(), buckets.end()),
-                  buckets.end());
-    buckets.erase(std::remove_if(buckets.begin(), buckets.end(),
-                                 [&](int b) {
-                                     return prefillCache_.count(b) > 0;
-                                 }),
-                  buckets.end());
-    if (buckets.empty())
-        return;
-
-    obs::ScopedSpan span("engine.prewarm_prefill", "runtime");
-    if (obs::SelfProf::instance().enabled()) {
-        // Prewarmed buckets are the run's prefill misses, recorded here
-        // (serially, in bucket order) so prefillStepTime sees hits.
-        for (int b : buckets)
-            obs::SelfProf::instance().cacheMiss(
-                strfmt("prefill|%s|in%d", deviceName(config_.device),
-                       b));
-    }
-    std::vector<CachedStep> steps(buckets.size());
-    pool.run(buckets.size(), [&](std::size_t i) {
-        obs::ScopedCapture cap(steps[i].log);
-        steps[i].c = costOf(model_.stepReport(config_.device, 1,
-                                              buckets[i], buckets[i],
-                                              true, servingCfg_));
-    });
-    for (std::size_t i = 0; i < buckets.size(); i++)
-        prefillCache_.emplace(buckets[i], std::move(steps[i]));
+    return it->second;
 }
 
 namespace {
@@ -219,8 +143,15 @@ kvTotalBlocks(const EngineConfig &cfg, const models::LlamaConfig &mc)
         mc.headDim, cfg.dt);
     const Bytes block_bytes =
         per_token * static_cast<Bytes>(kvBlockTokens(cfg));
-    return std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(cfg.kvCacheBytes / block_bytes));
+    vassert(cfg.kvCacheBytes >= block_bytes,
+            "kvCacheBytes=%llu holds no KV block: one %s=%d-token block "
+            "takes %llu bytes",
+            static_cast<unsigned long long>(cfg.kvCacheBytes),
+            cfg.kvPolicy == KvPolicy::Paged ? "blockTokens"
+                                            : "maxModelLen",
+            kvBlockTokens(cfg),
+            static_cast<unsigned long long>(block_bytes));
+    return static_cast<std::int64_t>(cfg.kvCacheBytes / block_bytes);
 }
 
 } // namespace
@@ -731,13 +662,6 @@ Engine::RunState::fullIteration()
     decodeChunkStep(has_chunk);
 }
 
-bool
-Engine::RunState::fastPathEligible() const
-{
-    return prefill_queue.empty() && !running.empty() &&
-           (waiting.empty() || trace[waiting.front()].arrival > clock);
-}
-
 ServingMetrics
 Engine::RunState::finalize()
 {
@@ -785,13 +709,6 @@ Engine::RunState::finalize()
     return m;
 }
 
-void
-Engine::runLegacy(RunState &st)
-{
-    while (st.remaining > 0)
-        st.fullIteration();
-}
-
 ServingMetrics
 Engine::run(std::vector<Request> trace)
 {
@@ -804,13 +721,27 @@ Engine::run(std::vector<Request> trace)
                   return a.arrival < b.arrival;
               });
     events_.clear();
-    prewarmPrefill(trace);
 
     RunState st(*this, trace);
-    if (config_.core == EngineCore::Legacy)
-        runLegacy(st);
-    else
-        runEvent(st);
+    // A request whose worst-case KV exceeds the whole pool can never
+    // finish: it is either never admitted or preempted forever.
+    for (const Request &r : trace) {
+        const std::int64_t need = std::max<std::int64_t>(
+            st.reserveTokens(r),
+            static_cast<std::int64_t>(r.inputLen) + r.outputLen);
+        vassert(st.kv.blocksFor(need) <= st.kv.totalBlocks(),
+                "request %lld needs %lld KV tokens (inputLen %d + "
+                "outputLen %d) but kvCacheBytes=%llu holds %lld blocks "
+                "of %s=%d tokens",
+                static_cast<long long>(r.id),
+                static_cast<long long>(need), r.inputLen, r.outputLen,
+                static_cast<unsigned long long>(config_.kvCacheBytes),
+                static_cast<long long>(st.kv.totalBlocks()),
+                st.paged ? "blockTokens" : "maxModelLen",
+                kvBlockTokens(config_));
+    }
+    while (st.remaining > 0)
+        st.fullIteration();
     return st.finalize();
 }
 

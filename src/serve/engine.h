@@ -10,15 +10,12 @@
  * preempted and re-queued. Step latencies come from the LlamaModel's
  * graph execution with the configured attention backend.
  *
- * Parallelism: when the runtime pool is parallel, the engine prefetches
- * step-cost evaluations — the next decode ctx buckets at the current
- * batch, and (monolithic-prefill mode) every prefill bucket the trace
- * will need — across the pool's workers. Each prefetched evaluation
- * captures its counter side effects (obs/capture.h); the capture is
- * replayed the first time the serial schedule actually reads that cache
- * entry, and never for entries the schedule never reads. Counter state
- * and metrics therefore stay bit-identical at any thread count
- * (docs/runtime.md).
+ * Step costs are memoized per engine in plain value maps keyed by
+ * batch and context bucket: a decode run revisits the same few buckets
+ * thousands of times, and a map hit is far cheaper than even a step
+ * replay-cache hit (docs/runtime.md). A miss evaluates the step
+ * eagerly on the calling thread, so counter side effects land in
+ * schedule order at any thread count.
  */
 
 #ifndef VESPERA_SERVE_ENGINE_H
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "models/llama.h"
-#include "obs/capture.h"
 #include "serve/kv_cache.h"
 #include "serve/trace.h"
 
@@ -41,21 +37,6 @@ enum class SchedPolicy {
     ShortestPromptFirst, ///< Among arrived requests, prefill the
                          ///< shortest prompt first (lower mean TTFT,
                          ///< at some fairness cost).
-};
-
-/**
- * Engine-loop core selector. Both cores produce byte-identical
- * metrics, counters, histograms, and attribution ledgers — fenced by
- * tests/serve/test_engine_equiv.cc — the Event core just proves, in
- * O(1) per step, when the scheduler front-end (SPF re-sort, admission
- * scan, prefill dispatch, idle check) would be a no-op and skips it
- * (docs/runtime.md "Event-driven engine core").
- */
-enum class EngineCore {
-    Event,  ///< Fast-path core (default): skip front-end when no
-            ///< admission event is pending.
-    Legacy, ///< Reference stepper: run every phase every iteration.
-            ///< Kept as the equivalence oracle.
 };
 
 /** KV-cache allocation policy. */
@@ -89,8 +70,6 @@ struct EngineConfig
     /// Record per-step engine events (see events()).
     bool recordEvents = false;
     DataType dt = DataType::BF16;
-    /// Which run-loop core executes the schedule (same results).
-    EngineCore core = EngineCore::Event;
     /// Label for this engine's virtual-time timeline series
     /// (obs/timeline.h) when the Timeline is enabled; empty means the
     /// Timeline assigns a deterministic "runN" label at publish.
@@ -153,52 +132,23 @@ class Engine
     Bytes kvBudget() const { return kvBudget_; }
 
   private:
-    /**
-     * One memoized step-cost evaluation. Entries computed eagerly on
-     * the serial path carry an empty, already-replayed log; entries
-     * prefetched on a worker carry the captured counter effects, which
-     * `use()` applies exactly once, at the first read.
-     */
-    struct CachedStep
-    {
-        StepCost c;
-        obs::SideEffectLog log;
-        bool replayed = false;
-
-        const StepCost &
-        use()
-        {
-            if (!replayed) {
-                replayed = true;
-                log.replay();
-            }
-            return c;
-        }
-    };
-
     StepCost decodeStepTime(int batch, std::int64_t mean_ctx);
     StepCost prefillStepTime(int input_len);
     StepCost prefillChunkTime(int chunk, std::int64_t ctx);
-    void prewarmPrefill(const std::vector<Request> &trace);
 
     /**
-     * Mutable state of one run() plus the scheduler phases, shared by
-     * both cores so they cannot drift except in loop structure.
-     * Defined in serve/engine_run.h (internal header).
+     * Mutable state of one run() plus the scheduler phases. Defined in
+     * serve/engine_run.h (internal header).
      */
     struct RunState;
-    /// Reference core: every phase, every iteration (engine.cc).
-    void runLegacy(RunState &st);
-    /// Event core: front-end skipped when provably idle
-    /// (engine_event.cc).
-    void runEvent(RunState &st);
 
     const models::LlamaModel &model_;
     EngineConfig config_;
     models::LlamaServingConfig servingCfg_;
-    /// Memoized step times keyed by (batch, ctx bucket).
-    std::map<std::pair<int, std::int64_t>, CachedStep> decodeCache_;
-    std::map<int, CachedStep> prefillCache_;
+    /// Memoized decode step times keyed by (batch, ctx bucket).
+    std::map<std::pair<int, std::int64_t>, StepCost> decodeCache_;
+    /// Memoized monolithic prefill step times keyed by input bucket.
+    std::map<int, StepCost> prefillCache_;
     std::vector<EngineEvent> events_;
     Bytes kvBudget_ = 0;
 };

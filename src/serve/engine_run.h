@@ -1,19 +1,13 @@
 /**
  * @file
- * Internal: shared run-loop state for the two engine cores.
+ * Internal: per-run state of Engine::run().
  *
- * Engine::run() used to be one 200-line loop. It is now a RunState —
- * the mutable per-run state plus one method per scheduler phase — and
- * two drivers: runLegacy() executes every phase every iteration (the
- * reference stepper), runEvent() skips the scheduler front-end on
- * iterations where fastPathEligible() proves it is a no-op. Because
- * both cores call the *same* phase methods, they cannot drift except
- * in loop structure; the differential suite
- * (tests/serve/test_engine_equiv.cc) fences exactly that structural
- * difference, asserting byte-identical metrics/counters/histograms.
+ * A RunState holds the mutable state of one run plus one method per
+ * scheduler phase; Engine::run() calls fullIteration() until every
+ * request has finished.
  *
- * Phase order of one full iteration (fullIteration()) — this order is
- * load-bearing and mirrors the original loop:
+ * Phase order of one iteration (fullIteration()) — this order is
+ * load-bearing:
  *
  *   1. spfSort()               reorder arrived waiting prefix
  *   2. admitArrived()          waiting -> prefill_queue, KV permitting
@@ -26,11 +20,10 @@
  *                              prefill chunk, telemetry, bookkeeping
  *
  * `has_chunk` is latched BEFORE preemptScan() (step 5 never touches
- * prefill_queue, so the latch is stable; keeping the original read
- * point makes the equivalence argument local).
+ * prefill_queue, so the latch is stable).
  *
- * This header is internal to src/serve — tests include it directly,
- * public consumers use serve/engine.h.
+ * This header is internal to src/serve; public consumers use
+ * serve/engine.h.
  */
 
 #ifndef VESPERA_SERVE_ENGINE_RUN_H
@@ -64,21 +57,9 @@ struct Engine::RunState
     void idleJump();
     void preemptScan();
     void decodeChunkStep(bool has_chunk);
-    /** One full legacy iteration: phases 1-6 with the early-outs. */
+    /** One iteration: phases 1-6 with the early-outs. */
     void fullIteration();
     /// @}
-
-    /**
-     * True when phases 1-4 are provably no-ops this iteration: no
-     * request queued for prefill, a decode batch is running, and no
-     * waiting request has arrived. The waiting-front check is exact
-     * because the queue is [arrived, any order][not yet arrived, by
-     * arrival]: admission pops the front, preemption pushes requests
-     * whose arrival <= clock to the front, and the tail keeps the
-     * trace's arrival order — so front.arrival > clock implies every
-     * queued arrival is still in the future.
-     */
-    bool fastPathEligible() const;
 
     /** Computes ServingMetrics and publishes end-of-run telemetry. */
     ServingMetrics finalize();
@@ -108,9 +89,7 @@ struct Engine::RunState
 
     /// @name Virtual-time timeline hooks (obs/timeline.h). All are
     /// called from the serial scheduler path only and no-op (one
-    /// branch) when the Timeline is disabled; because both cores share
-    /// the phase methods carrying these hooks, the recorded series is
-    /// identical across cores by construction.
+    /// branch) when the Timeline is disabled.
     /// @{
     /** Close every window whose end is <= t (boundary gauges sampled
         at the first scheduling point at or after each boundary). */

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "case_subset.h"
 #include "coll/collective.h"
 
 namespace vespera::coll {
@@ -84,11 +85,10 @@ TEST_P(CollectiveProperty, LatencyFloor)
     EXPECT_GT(tiny.time, 5e-6);
 }
 
-TEST_P(CollectiveProperty, HcclScalesWithDevices)
+/** HCCL below 8 devices: registered over those cases below. */
+void
+hcclScalesWithDevices(const CollCase &p)
 {
-    const auto &p = GetParam();
-    if (p.backend != CollectiveModel::Backend::Hccl || p.devices >= 8)
-        GTEST_SKIP();
     auto model = modelFor(p);
     auto fewer = model.run(p.op, p.bytes, p.devices);
     auto more = model.run(p.op, p.bytes, 8);
@@ -120,6 +120,16 @@ collCases()
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CollectiveProperty,
                          ::testing::ValuesIn(collCases()));
+
+const bool kHcclScalingRegistered =
+    testing_util::registerCaseSubset<CollectiveProperty>(
+        "Sweep", "CollectiveProperty", "HcclScalesWithDevices",
+        collCases(),
+        [](const CollCase &c) {
+            return c.backend == CollectiveModel::Backend::Hccl &&
+                   c.devices < 8;
+        },
+        hcclScalesWithDevices);
 
 } // namespace
 } // namespace vespera::coll

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "case_subset.h"
 #include "hw/mme.h"
 #include "kern/gemm.h"
 
@@ -82,11 +83,10 @@ TEST_P(GemmProperty, Fp32NeverFasterThanBf16)
     EXPECT_GE(fp32.time, bf16.time);
 }
 
-TEST_P(GemmProperty, GaudiConfigurableNeverWorseThanFixed)
+/** Gaudi-only: registered over the Gaudi-2 cases below. */
+void
+gaudiConfigurableNeverWorseThanFixed(const GemmCase &p)
 {
-    const auto &p = GetParam();
-    if (p.device != DeviceKind::Gaudi2)
-        GTEST_SKIP() << "Gaudi-only invariant";
     hw::MmeModel mme;
     hw::GemmShape shape{p.m, p.k, p.n, p.batch};
     auto fixed = mme.gemmWithGeometry(shape, DataType::BF16,
@@ -115,6 +115,13 @@ gemmCases()
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmProperty,
                          ::testing::ValuesIn(gemmCases()));
+
+const bool kGaudiOnlyRegistered =
+    testing_util::registerCaseSubset<GemmProperty>(
+        "Shapes", "GemmProperty", "GaudiConfigurableNeverWorseThanFixed",
+        gemmCases(),
+        [](const GemmCase &c) { return c.device == DeviceKind::Gaudi2; },
+        gaudiConfigurableNeverWorseThanFixed);
 
 } // namespace
 } // namespace vespera::kern

@@ -3,8 +3,9 @@
  * Determinism contract of the parallel simulation runtime: the same
  * workload must produce bit-identical results and metrics JSON at any
  * thread count (docs/runtime.md). Exercised end-to-end through the
- * three parallelized layers — a STREAM sweep (SweepRunner + nested
- * TPC dispatch), the dispatcher itself, and the serving engine.
+ * two parallelized layers — a STREAM sweep (SweepRunner + nested TPC
+ * dispatch) and the dispatcher itself — and through the serving
+ * engine, which must stay serial-equivalent under a parallel pool.
  */
 
 #include <gtest/gtest.h>
@@ -93,9 +94,9 @@ TEST(RuntimeDeterminism, StreamSweepIdenticalAtAnyThreadCount)
 
 TEST(RuntimeDeterminism, ServingMetricsIdenticalAcrossThreadCounts)
 {
-    // Full-precision double equality, not near-equality: the ordered
-    // side-effect replay means the parallel engine performs the exact
-    // same floating-point op sequence as the serial one. (Whole
+    // Full-precision double equality, not near-equality: the engine
+    // loop is serial, so a parallel pool must not change a single
+    // floating-point op. (Whole
     // metrics-JSON documents are compared byte-for-byte at the binary
     // level by the `determinism_metrics_json` ctest — the in-process
     // registry is cumulative, so the document is only reproducible

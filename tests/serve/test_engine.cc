@@ -131,6 +131,41 @@ TEST_F(EngineTest, ModelTooLargePanics)
     EXPECT_DEATH(Engine(big, cfg), "does not fit");
 }
 
+// Infeasible input fails up front instead of hanging: a 64 MiB pool
+// holds 512 tokens of Llama-3.1-8B KV (four 128-token blocks).
+TEST_F(EngineTest, RejectsPromptLargerThanKvPool)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.kvCacheBytes = 64ull << 20;
+    Engine engine(model_, cfg);
+    EXPECT_DEATH(engine.run(makeFixedTrace(1, 1000, 8)),
+                 "request 0 needs 1008 KV tokens.*kvCacheBytes=67108864 "
+                 "holds 4 blocks of blockTokens=128");
+}
+
+TEST_F(EngineTest, RejectsOutputLargerThanKvPool)
+{
+    // The prompt fits, but decoding would preempt and recompute the
+    // lone request forever.
+    EngineConfig cfg = baseConfig();
+    cfg.kvCacheBytes = 64ull << 20;
+    Engine engine(model_, cfg);
+    EXPECT_DEATH(engine.run(makeFixedTrace(1, 100, 1000)),
+                 "request 0 needs 1100 KV tokens");
+}
+
+TEST_F(EngineTest, RejectsKvPoolSmallerThanOneSlab)
+{
+    // One contiguous maxModelLen slab of 4096 tokens takes 512 MiB.
+    EngineConfig cfg = baseConfig();
+    cfg.kvCacheBytes = 64ull << 20;
+    cfg.kvPolicy = KvPolicy::Contiguous;
+    Engine engine(model_, cfg);
+    EXPECT_DEATH(engine.run(makeFixedTrace(1, 100, 8)),
+                 "kvCacheBytes=67108864 holds no KV block: one "
+                 "maxModelLen=4096-token block takes 536870912 bytes");
+}
+
 TEST_F(EngineTest, ChunkedPrefillReducesDecodeStalls)
 {
     // Long prompts + short outputs: monolithic prefills stall the

@@ -1,11 +1,11 @@
 /**
  * @file
- * Differential equivalence suite: the event-driven engine core vs the
- * legacy reference stepper (serve/engine_event.cc, engine.cc).
+ * Differential equivalence suite for serve::Engine: the same schedule
+ * at every thread count, and with the replay caches on or off.
  *
  * The contract under test is *byte* equivalence, not approximate
- * equivalence: for every scheduler scenario, both cores at every
- * thread count must produce bit-identical serving metrics, counter
+ * equivalence: for every scheduler scenario, every thread count must
+ * produce bit-identical serving metrics, counter
  * values/peaks/update-counts, rate meters, latency histograms
  * (count, exact sum bits, every nonzero bucket), and — with the
  * Timeline enabled, as this fixture always does — every virtual-time
@@ -14,8 +14,6 @@
  * pass for "equal".
  *
  * Canonical-doc exclusions (and nothing else):
- *  - engine.steps_skipped / engine.events_processed: differ between
- *    the cores by construction (they count the structural difference).
  *  - runtime.* : host-side pool facts, thread-variant by design.
  *  - replay.*  : process-wide replay-cache stats; cache state persists
  *    across runs, so hit/miss splits depend on run order, not on the
@@ -27,8 +25,8 @@
  * the previous run's final geometry); the caches are then cleared and
  * one cache-enabled run recaptures every replay log *from that settled
  * state*. After that, cached replays and fresh executions are
- * byte-equivalent, so cache-on, cache-off, legacy, and event runs all
- * compare against one reference document.
+ * byte-equivalent, so cache-on and cache-off runs at every thread
+ * count compare against one reference document.
  */
 
 #include <string>
@@ -48,9 +46,6 @@ namespace {
 bool
 excludedFromDoc(const std::string &name)
 {
-    if (name == "engine.steps_skipped" ||
-        name == "engine.events_processed")
-        return true;
     return name.rfind("runtime.", 0) == 0 ||
            name.rfind("replay.", 0) == 0;
 }
@@ -214,7 +209,7 @@ scenarios()
     }
     {
         // Idle gaps: the engine drains between arrival bursts, so the
-        // event core crosses the idle-jump path repeatedly.
+        // run crosses the idle-jump path repeatedly.
         EngineConfig cfg = base();
         std::vector<Request> trace = makeFixedTrace(12, 128, 16);
         for (std::size_t i = 0; i < trace.size(); i++)
@@ -262,7 +257,7 @@ class EngineEquivTest : public ::testing::Test
 
     /** One measured run: fresh engine, reset registry, canonical doc. */
     std::string
-    runOnce(const Scenario &s, EngineCore core, int threads,
+    runOnce(const Scenario &s, int threads,
             std::vector<EngineEvent> *events_out = nullptr)
     {
         runtime::Pool::setGlobalThreads(threads);
@@ -270,9 +265,7 @@ class EngineEquivTest : public ::testing::Test
         // Fresh timeline store per run (config survives): each run's
         // auto-assigned label is then deterministically "run0".
         obs::Timeline::instance().reset();
-        EngineConfig cfg = s.cfg;
-        cfg.core = core;
-        Engine engine(model_, cfg);
+        Engine engine(model_, s.cfg);
         const ServingMetrics m = engine.run(s.trace);
         if (events_out != nullptr)
             *events_out = engine.events();
@@ -287,29 +280,26 @@ class EngineEquivTest : public ::testing::Test
         {
             graph::ReplayCacheDisable off_node(graph::nodeReplayCache());
             graph::ReplayCacheDisable off_step(graph::stepReplayCache());
-            EngineConfig cfg = s.cfg;
-            Engine engine(model_, cfg);
+            Engine engine(model_, s.cfg);
             (void)engine.run(s.trace);
         }
         graph::nodeReplayCache().clear();
         graph::stepReplayCache().clear();
-        EngineConfig cfg = s.cfg;
-        Engine engine(model_, cfg);
+        Engine engine(model_, s.cfg);
         (void)engine.run(s.trace);
     }
 
     models::LlamaModel model_;
 };
 
-TEST_F(EngineEquivTest, CoresAreByteIdenticalAtEveryThreadCount)
+TEST_F(EngineEquivTest, ByteIdenticalAtEveryThreadCount)
 {
     for (const Scenario &s : scenarios()) {
         SCOPED_TRACE(s.name);
         settleAndRecapture(s);
 
         std::vector<EngineEvent> ref_events;
-        const std::string reference =
-            runOnce(s, EngineCore::Legacy, 1, &ref_events);
+        const std::string reference = runOnce(s, 1, &ref_events);
         ASSERT_FALSE(reference.empty());
         // The timeline must actually be part of the compared document,
         // or its equivalence claim would pass vacuously.
@@ -319,73 +309,41 @@ TEST_F(EngineEquivTest, CoresAreByteIdenticalAtEveryThreadCount)
 
         for (int threads : {1, 2, 4, 8}) {
             SCOPED_TRACE(strfmt("threads=%d", threads));
-            std::vector<EngineEvent> ev_events;
-            EXPECT_EQ(runOnce(s, EngineCore::Legacy, threads), reference)
-                << "legacy core is not thread-count invariant";
-            EXPECT_EQ(runOnce(s, EngineCore::Event, threads, &ev_events),
-                      reference)
-                << "event core diverged from the legacy reference";
+            std::vector<EngineEvent> events;
+            EXPECT_EQ(runOnce(s, threads, &events), reference)
+                << "engine run is not thread-count invariant";
 
             // recordEvents scenarios additionally pin the per-step
             // event stream, not just its aggregates.
-            ASSERT_EQ(ev_events.size(), ref_events.size());
+            ASSERT_EQ(events.size(), ref_events.size());
             for (std::size_t i = 0; i < ref_events.size(); i++) {
-                EXPECT_EQ(static_cast<int>(ev_events[i].kind),
+                EXPECT_EQ(static_cast<int>(events[i].kind),
                           static_cast<int>(ref_events[i].kind));
-                EXPECT_EQ(ev_events[i].start, ref_events[i].start);
-                EXPECT_EQ(ev_events[i].duration, ref_events[i].duration);
-                EXPECT_EQ(ev_events[i].decodeBatch,
+                EXPECT_EQ(events[i].start, ref_events[i].start);
+                EXPECT_EQ(events[i].duration, ref_events[i].duration);
+                EXPECT_EQ(events[i].decodeBatch,
                           ref_events[i].decodeBatch);
-                EXPECT_EQ(ev_events[i].prefillTokens,
+                EXPECT_EQ(events[i].prefillTokens,
                           ref_events[i].prefillTokens);
             }
         }
     }
 }
 
-TEST_F(EngineEquivTest, EventCoreMatchesWithReplayCachesOff)
+TEST_F(EngineEquivTest, MatchesWithReplayCachesOff)
 {
-    // The replay caches claim transparency; the event core claims
-    // schedule equivalence. This test composes the two claims: a
-    // fully-executed (cache-off) event run must still byte-match the
-    // cached legacy reference.
+    // The replay caches claim transparency: a fully-executed
+    // (cache-off) run must byte-match the cached reference.
     for (const Scenario &s : scenarios()) {
         SCOPED_TRACE(s.name);
         settleAndRecapture(s);
-        const std::string reference = runOnce(s, EngineCore::Legacy, 1);
+        const std::string reference = runOnce(s, 1);
 
         graph::ReplayCacheDisable off_node(graph::nodeReplayCache());
         graph::ReplayCacheDisable off_step(graph::stepReplayCache());
-        EXPECT_EQ(runOnce(s, EngineCore::Event, 1), reference)
+        EXPECT_EQ(runOnce(s, 1), reference)
             << "replay-cache hits are not transparent on this scenario";
     }
-}
-
-TEST_F(EngineEquivTest, EventCoreActuallySkipsWork)
-{
-    // Guard against the fast path silently dying (e.g. a predicate
-    // typo making it always false): on a plain decode-heavy scenario
-    // the skipped-step counter must dominate.
-    Scenario s{"skip_check", EngineConfig{}, makeFixedTrace(16, 128, 64)};
-    s.cfg.maxDecodeBatch = 16;
-    s.cfg.kvCacheBytes = 16ull << 30;
-    settleAndRecapture(s);
-
-    runtime::Pool::setGlobalThreads(1);
-    obs::CounterRegistry::instance().reset();
-    EngineConfig cfg = s.cfg;
-    cfg.core = EngineCore::Event;
-    Engine engine(model_, cfg);
-    (void)engine.run(s.trace);
-
-    const auto &reg = obs::CounterRegistry::instance();
-    const obs::Counter *skipped = reg.find("engine.steps_skipped");
-    const obs::Counter *full = reg.find("engine.events_processed");
-    ASSERT_NE(skipped, nullptr);
-    ASSERT_NE(full, nullptr);
-    EXPECT_GT(skipped->value(), 0.0);
-    EXPECT_GT(skipped->value(), full->value())
-        << "decode-heavy schedules should mostly ride the fast path";
 }
 
 } // namespace

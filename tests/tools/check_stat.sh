@@ -112,4 +112,18 @@ echo '{"schema": "something-else/v9"}' > "$tmp/alien.json"
 "$stat_bin" "$tmp/base.json" 2> /dev/null
 [ $? -eq 2 ] || fail "missing operand not rejected with exit 2"
 
+# 11. Documents of different schema families are a document error
+#     (exit 2) naming both schemas, not a list of REMOVED keys.
+cat > "$tmp/tune.json" <<'EOF'
+{
+  "schema": "vespera-lint-tune/v1",
+  "kernels": [],
+  "totals": { "kernels": 0 }
+}
+EOF
+out="$("$stat_bin" "$tmp/base.json" "$tmp/tune.json" 2>&1)"
+[ $? -eq 2 ] || fail "metrics vs lint-tune not rejected with exit 2: $out"
+echo "$out" | grep -q "vespera-metrics/v2.*vespera-lint-tune/v1" \
+    || fail "schema mismatch does not name both schemas: $out"
+
 echo "STAT_OK"

@@ -67,7 +67,8 @@
  * reported but don't fail; metrics that disappeared do fail.
  *
  * Exit codes: 0 = within thresholds, 1 = regression (each offending
- * metric named on stdout), 2 = usage or document error.
+ * metric named on stdout), 2 = usage or document error, including two
+ * documents of different schema families.
  *
  * Timeline mode:
  *
@@ -363,9 +364,13 @@ flatten(const Value &doc, const std::string &path,
     return true;
 }
 
+/**
+ * Parse and flatten one document; `schema` receives its schema string
+ * so the caller can refuse to compare documents of different families.
+ */
 bool
 loadDoc(const std::string &path, bool compare_benchmarks,
-        std::map<std::string, double> &out)
+        std::map<std::string, double> &out, std::string &schema)
 {
     std::string text;
     if (!vespera::readFile(path, text)) {
@@ -380,7 +385,16 @@ loadDoc(const std::string &path, bool compare_benchmarks,
                      err.c_str());
         return false;
     }
+    if (const Value *s = doc.find("schema"); s && s->isString())
+        schema = s->str();
     return flatten(doc, path, compare_benchmarks, out);
+}
+
+/** "vespera-metrics/v2.1" -> "vespera-metrics". */
+std::string
+schemaFamily(const std::string &schema)
+{
+    return schema.substr(0, schema.find('/'));
 }
 
 int
@@ -777,9 +791,23 @@ main(int argc, char **argv)
     cfg.candidatePath = positional[1];
 
     std::map<std::string, double> base, cand;
-    if (!loadDoc(cfg.baselinePath, cfg.compareBenchmarks, base) ||
-        !loadDoc(cfg.candidatePath, cfg.compareBenchmarks, cand))
+    std::string base_schema, cand_schema;
+    if (!loadDoc(cfg.baselinePath, cfg.compareBenchmarks, base,
+                 base_schema) ||
+        !loadDoc(cfg.candidatePath, cfg.compareBenchmarks, cand,
+                 cand_schema))
         return 2;
+    // Versions of one family compare (v1 vs v2.x metrics); different
+    // families share no keys, so a diff would only list every key as
+    // REMOVED.
+    if (schemaFamily(base_schema) != schemaFamily(cand_schema)) {
+        std::fprintf(stderr,
+                     "vespera-stat: schema mismatch: %s is %s but %s "
+                     "is %s\n",
+                     cfg.baselinePath.c_str(), base_schema.c_str(),
+                     cfg.candidatePath.c_str(), cand_schema.c_str());
+        return 2;
+    }
 
     std::vector<Finding> regressions;
     std::vector<std::string> added, removed;
