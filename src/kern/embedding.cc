@@ -53,6 +53,9 @@ makeGatherKernel(const tpc::Tensor &indices, tpc::Tensor &out,
             vec_bytes, P, unroll, member_interleave,
             out_col = std::move(out_col)](tpc::TpcContext &ctx) {
         const std::int64_t step = member_interleave;
+        // Reused across members and unroll blocks.
+        std::vector<tpc::Vec> vs;
+        std::vector<int> owner;
         for (std::int64_t m0 = ctx.memberStart(1);
              m0 < ctx.memberEnd(1); m0 += step) {
             const std::int64_t m_end =
@@ -75,8 +78,8 @@ makeGatherKernel(const tpc::Tensor &indices, tpc::Tensor &out,
             for (std::int64_t p = 0; p < P; p += unroll) {
                 // Issue the group's gathers for this unroll block
                 // before consuming any of them.
-                std::vector<tpc::Vec> vs;
-                std::vector<int> owner;
+                vs.clear();
+                owner.clear();
                 for (int g = 0; g < group; g++) {
                     for (int u = 0; u < unroll && p + u < P; u++) {
                         const std::int64_t row = row_of(m0 + g, p + u);
@@ -147,10 +150,7 @@ EmbeddingLayerGaudi::EmbeddingLayerGaudi(const EmbeddingConfig &config)
         config.rowsPerTable * config.numTables;
     tables_ = std::make_unique<tpc::Tensor>(
         std::vector<std::int64_t>{lanes_, total_rows}, config.dt);
-    const std::int64_t lanes = lanes_;
-    tables_->fill([lanes](std::int64_t flat) {
-        return rowValue(flat / lanes);
-    });
+    tables_->fillRows(rowValue);
 }
 
 EmbeddingResult

@@ -12,20 +12,27 @@ namespace vespera::kern {
 GatherScatterResult
 runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
 {
-    vassert(c.numVectors > 0 && c.vectorBytes > 0, "bad config");
-    vassert(c.accessFraction > 0 && c.accessFraction <= 1.0,
-            "access fraction out of (0,1]");
-
     const Bytes es = dtypeSize(c.dt);
+    vassert(c.numVectors > 0,
+            "bad gather/scatter config: numVectors must be positive, got %llu",
+            static_cast<unsigned long long>(c.numVectors));
+    vassert(c.vectorBytes >= es,
+            "bad gather/scatter config: vectorBytes must be at least the "
+            "%llu B element size, got %llu",
+            static_cast<unsigned long long>(es),
+            static_cast<unsigned long long>(c.vectorBytes));
+    vassert(c.accessFraction > 0 && c.accessFraction <= 1.0,
+            "bad gather/scatter config: accessFraction out of (0,1], "
+            "got %g", c.accessFraction);
+
     const auto lanes = static_cast<std::int64_t>(c.vectorBytes / es);
     const auto num_vectors = static_cast<std::int64_t>(c.numVectors);
     const auto num_accesses = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(c.accessFraction * num_vectors));
 
     tpc::Tensor array({lanes, num_vectors}, c.dt);
-    array.fill([lanes](std::int64_t i) {
-        return static_cast<float>((i / lanes) % 61);
-    });
+    array.fillRows(
+        [](std::int64_t row) { return static_cast<float>(row % 61); });
     // Index list, read by the kernel in 256 B chunks.
     tpc::Tensor indices({num_accesses}, DataType::FP32);
     std::vector<std::int64_t> idx(static_cast<std::size_t>(num_accesses));
@@ -61,6 +68,7 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
             for (int q = 0; q < num_accs; q++)
                 accs.push_back(ctx.v_zero(static_cast<int>(lanes)));
             constexpr std::int64_t idx_chunk = 64; // 256 B of indices.
+            std::vector<tpc::Vec> vs; // Reused across unroll blocks.
             for (std::int64_t i = begin; i < end; i += idx_chunk) {
                 // Stage a 256 B block of indices (streaming load).
                 (void)ctx.v_ld_tnsr({i, 0, 0, 0, 0}, indices, 256,
@@ -68,7 +76,7 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
                 const std::int64_t blk_end =
                     std::min(i + idx_chunk, end);
                 for (std::int64_t j = i; j < blk_end; j += unroll) {
-                    std::vector<tpc::Vec> vs;
+                    vs.clear();
                     for (int u = 0; u < unroll && j + u < blk_end; u++) {
                         const std::int64_t target =
                             idx[static_cast<std::size_t>(j + u)];

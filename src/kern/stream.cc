@@ -53,8 +53,14 @@ streamOpName(StreamOp op)
 StreamResult
 runStreamGaudi(const StreamConfig &config)
 {
-    vassert(config.numElements > 0 && config.unroll >= 1 &&
-            config.numTpcs >= 1, "bad stream config");
+    vassert(config.numElements > 0,
+            "bad stream config: numElements must be positive, got %llu",
+            static_cast<unsigned long long>(config.numElements));
+    vassert(config.unroll >= 1,
+            "bad stream config: unroll must be >= 1, got %d", config.unroll);
+    vassert(config.numTpcs >= 1,
+            "bad stream config: numTpcs must be >= 1, got %d",
+            config.numTpcs);
 
     const auto n = static_cast<std::int64_t>(config.numElements);
     tpc::Tensor a({n}, config.dt);
@@ -76,13 +82,17 @@ runStreamGaudi(const StreamConfig &config)
 
     tpc::Kernel kernel = [&, per_tpc, lanes, op, unroll,
                           extra](tpc::TpcContext &ctx) {
+        // Reused across iterations: one allocation per slice, not per
+        // unroll block.
+        std::vector<tpc::Vec> xs, ys, rs;
         for (std::int64_t w = ctx.memberStart(1); w < ctx.memberEnd(1);
              w++) {
             const std::int64_t begin = w * per_tpc;
             const std::int64_t end = std::min(begin + per_tpc, n);
             for (std::int64_t d = begin; d < end;
                  d += lanes * unroll) {
-                std::vector<tpc::Vec> xs, ys;
+                xs.clear();
+                ys.clear();
                 for (int u = 0; u < unroll; u++) {
                     const std::int64_t at = d + u * lanes;
                     if (at >= end)
@@ -94,7 +104,7 @@ runStreamGaudi(const StreamConfig &config)
                         ys.push_back(ctx.v_ld_tnsr(coord, b,
                                                    config.accessBytes));
                 }
-                std::vector<tpc::Vec> rs(xs.size());
+                rs.resize(xs.size());
                 for (std::size_t u = 0; u < xs.size(); u++) {
                     switch (op) {
                       case StreamOp::Add:

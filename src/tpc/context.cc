@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -15,11 +16,21 @@ TpcContext::TpcContext(Program &program, const MemberRange &range,
       localMem_(local_memory_bytes / 4, 0.0f)
 {
     vassert(default_vector_bytes > 0, "zero vector width");
+    opLabels_.fill(-1);
 }
 
 namespace {
 /// Instr::memStream id of the TPC-local scratchpad.
 constexpr std::uint32_t localMemStream = 1;
+
+/// Label text of each TpcContext::Op, in enum order.
+constexpr const char *opNames[] = {
+    "v_ld_tnsr", "v_st_tnsr", "v_add", "v_sub", "v_mul", "v_max",
+    "v_mac", "v_mul_s", "v_mac_s", "v_zero", "v_exp", "v_reciprocal",
+    "v_rsqrt", "v_splat", "v_iota", "v_cmp_eq", "v_cmp_lt", "v_cmp_ge",
+    "v_sel", "v_reduce_max", "v_reduce_add", "v_broadcast", "s_ld",
+    "v_st_local", "v_ld_local",
+};
 } // namespace
 
 void
@@ -29,20 +40,26 @@ TpcContext::setOpLabel(std::string_view label)
 }
 
 std::int16_t
-TpcContext::opLabel(const char *intrinsic)
+TpcContext::opLabel(Op op)
 {
+    static_assert(std::size(opNames) == static_cast<std::size_t>(Op::Count),
+                  "opNames out of sync with TpcContext::Op");
     if (userLabel_ >= 0)
         return userLabel_;
-    return program_.internLabel(intrinsic);
+    std::int16_t &label = opLabels_[static_cast<std::size_t>(op)];
+    if (label < 0)
+        label = program_.internLabel(opNames[static_cast<std::size_t>(op)]);
+    return label;
 }
 
 std::uint32_t
 TpcContext::streamId(const void *key)
 {
-    auto [it, inserted] = streams_.try_emplace(key, nextStream_);
-    if (inserted)
-        nextStream_++;
-    return it->second;
+    const auto index = static_cast<std::size_t>(
+        std::find(streams_.begin(), streams_.end(), key) - streams_.begin());
+    if (index == streams_.size())
+        streams_.push_back(key);
+    return static_cast<std::uint32_t>(index) + 2;
 }
 
 Vec
@@ -57,11 +74,14 @@ TpcContext::v_ld_tnsr(const Int5 &coord, const Tensor &t, Bytes bytes,
 
     Vec v;
     v.id = program_.newValue();
-    v.lanes.resize(static_cast<std::size_t>(lanes), 0.0f);
     const std::int64_t base = t.flatten(coord);
     const std::int64_t limit = std::min(lanes, t.numElements() - base);
-    for (std::int64_t i = 0; i < limit; i++)
-        v.lanes[static_cast<std::size_t>(i)] = t.at(base + i);
+    const float *src = t.range(base, limit);
+    // Copy the in-bounds run; only the tail past the tensor end is
+    // zero-filled.
+    v.lanes.reserve(static_cast<std::size_t>(lanes));
+    v.lanes.assign(src, src + limit);
+    v.lanes.resize(static_cast<std::size_t>(lanes), 0.0f);
 
     Instr instr;
     instr.slot = Slot::Load;
@@ -71,7 +91,7 @@ TpcContext::v_ld_tnsr(const Int5 &coord, const Tensor &t, Bytes bytes,
     instr.lanes = static_cast<std::int32_t>(lanes);
     instr.memOffset = base * static_cast<std::int64_t>(es);
     instr.memStream = streamId(t.data());
-    instr.opLabel = opLabel("v_ld_tnsr");
+    instr.opLabel = opLabel(Op::LdTnsr);
     program_.append(instr);
     return v;
 }
@@ -84,8 +104,7 @@ TpcContext::v_st_tnsr(const Int5 &coord, Tensor &t, const Vec &v,
     const std::int64_t base = t.flatten(coord);
     const std::int64_t limit =
         std::min<std::int64_t>(v.laneCount(), t.numElements() - base);
-    for (std::int64_t i = 0; i < limit; i++)
-        t.at(base + i) = v.lanes[static_cast<std::size_t>(i)];
+    std::copy_n(v.lanes.data(), limit, t.range(base, limit));
 
     Instr instr;
     instr.slot = Slot::Store;
@@ -97,13 +116,14 @@ TpcContext::v_st_tnsr(const Int5 &coord, Tensor &t, const Vec &v,
     instr.memOffset =
         base * static_cast<std::int64_t>(dtypeSize(t.dtype()));
     instr.memStream = streamId(t.data());
-    instr.opLabel = opLabel("v_st_tnsr");
+    instr.opLabel = opLabel(Op::StTnsr);
     program_.append(instr);
 }
 
+template <typename F>
 Vec
 TpcContext::binaryOp(const Vec &a, const Vec &b, float flops_per_lane,
-                     float (*op)(float, float), const char *name)
+                     F op, Op name)
 {
     vassert(a.laneCount() == b.laneCount(),
             "lane mismatch: %d vs %d", a.laneCount(), b.laneCount());
@@ -129,21 +149,21 @@ Vec
 TpcContext::v_add(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f, [](float x, float y) { return x + y; },
-                    "v_add");
+                    Op::Add);
 }
 
 Vec
 TpcContext::v_sub(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f, [](float x, float y) { return x - y; },
-                    "v_sub");
+                    Op::Sub);
 }
 
 Vec
 TpcContext::v_mul(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f, [](float x, float y) { return x * y; },
-                    "v_mul");
+                    Op::Mul);
 }
 
 Vec
@@ -151,7 +171,7 @@ TpcContext::v_max(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f,
                     [](float x, float y) { return std::max(x, y); },
-                    "v_max");
+                    Op::Max);
 }
 
 Vec
@@ -174,7 +194,7 @@ TpcContext::v_mac(const Vec &a, const Vec &b, const Vec &acc)
     instr.src2 = acc.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_mac");
+    instr.opLabel = opLabel(Op::Mac);
     program_.append(instr);
     return r;
 }
@@ -194,7 +214,7 @@ TpcContext::v_mul_s(const Vec &a, float scalar)
     instr.src0 = a.id;
     instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_mul_s");
+    instr.opLabel = opLabel(Op::MulS);
     program_.append(instr);
     return r;
 }
@@ -216,7 +236,7 @@ TpcContext::v_mac_s(const Vec &a, float scalar, const Vec &acc)
     instr.src1 = acc.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_mac_s");
+    instr.opLabel = opLabel(Op::MacS);
     program_.append(instr);
     return r;
 }
@@ -233,7 +253,7 @@ TpcContext::v_zero(int lanes)
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_zero");
+    instr.opLabel = opLabel(Op::Zero);
     program_.append(instr);
     return r;
 }
@@ -254,7 +274,7 @@ TpcContext::v_exp(const Vec &a)
     // Special-function unit: several flops worth of issue per lane.
     instr.flopsPerLane = 4.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_exp");
+    instr.opLabel = opLabel(Op::Exp);
     program_.append(instr);
     return r;
 }
@@ -274,7 +294,7 @@ TpcContext::v_reciprocal(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_reciprocal");
+    instr.opLabel = opLabel(Op::Reciprocal);
     program_.append(instr);
     return r;
 }
@@ -294,7 +314,7 @@ TpcContext::v_rsqrt(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_rsqrt");
+    instr.opLabel = opLabel(Op::Rsqrt);
     program_.append(instr);
     return r;
 }
@@ -311,7 +331,7 @@ TpcContext::v_splat(float value, int lanes)
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_splat");
+    instr.opLabel = opLabel(Op::Splat);
     program_.append(instr);
     return r;
 }
@@ -330,7 +350,7 @@ TpcContext::v_iota(int lanes)
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_iota");
+    instr.opLabel = opLabel(Op::Iota);
     program_.append(instr);
     return r;
 }
@@ -340,7 +360,7 @@ TpcContext::v_cmp_eq(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f,
                     [](float x, float y) { return x == y ? 1.0f : 0.0f; },
-                    "v_cmp_eq");
+                    Op::CmpEq);
 }
 
 Vec
@@ -348,7 +368,7 @@ TpcContext::v_cmp_lt(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f,
                     [](float x, float y) { return x < y ? 1.0f : 0.0f; },
-                    "v_cmp_lt");
+                    Op::CmpLt);
 }
 
 Vec
@@ -356,7 +376,7 @@ TpcContext::v_cmp_ge(const Vec &a, const Vec &b)
 {
     return binaryOp(a, b, 1.0f,
                     [](float x, float y) { return x >= y ? 1.0f : 0.0f; },
-                    "v_cmp_ge");
+                    Op::CmpGe);
 }
 
 Vec
@@ -379,7 +399,7 @@ TpcContext::v_sel(const Vec &mask, const Vec &a, const Vec &b)
     instr.src2 = b.id;
     instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_sel");
+    instr.opLabel = opLabel(Op::Sel);
     program_.append(instr);
     return r;
 }
@@ -401,7 +421,7 @@ TpcContext::v_reduce_max(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 1.0f; // Tree reduction, ~1 op per lane.
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_reduce_max");
+    instr.opLabel = opLabel(Op::ReduceMax);
     program_.append(instr);
     return r;
 }
@@ -423,7 +443,7 @@ TpcContext::v_reduce_add(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_reduce_add");
+    instr.opLabel = opLabel(Op::ReduceAdd);
     program_.append(instr);
     return r;
 }
@@ -441,7 +461,7 @@ TpcContext::v_broadcast(const Vec &a, int lanes)
     instr.dst = r.id;
     instr.src0 = a.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_broadcast");
+    instr.opLabel = opLabel(Op::Broadcast);
     program_.append(instr);
     return r;
 }
@@ -449,7 +469,8 @@ TpcContext::v_broadcast(const Vec &a, int lanes)
 float
 TpcContext::s_ld(const Int5 &coord, const Tensor &t, Access access)
 {
-    const float value = t.at(coord);
+    const std::int64_t flat = t.flatten(coord);
+    const float value = t.at(flat);
 
     Instr instr;
     instr.slot = Slot::Scalar;
@@ -457,10 +478,9 @@ TpcContext::s_ld(const Int5 &coord, const Tensor &t, Access access)
     instr.memBytes = dtypeSize(t.dtype());
     instr.access = access;
     instr.lanes = 1;
-    instr.memOffset =
-        t.flatten(coord) * static_cast<std::int64_t>(dtypeSize(t.dtype()));
+    instr.memOffset = flat * static_cast<std::int64_t>(dtypeSize(t.dtype()));
     instr.memStream = streamId(t.data());
-    instr.opLabel = opLabel("s_ld");
+    instr.opLabel = opLabel(Op::SLd);
     program_.append(instr);
     return value;
 }
@@ -474,9 +494,8 @@ TpcContext::v_st_local(std::int64_t elem_offset, const Vec &v)
             "local memory overflow: %lld lanes > %llu bytes",
             static_cast<long long>(end),
             static_cast<unsigned long long>(localMemoryBytes_));
-    for (int i = 0; i < v.laneCount(); i++)
-        localMem_[static_cast<std::size_t>(elem_offset + i)] =
-            v.lanes[static_cast<std::size_t>(i)];
+    std::copy(v.lanes.begin(), v.lanes.end(),
+              localMem_.begin() + elem_offset);
     localHighWater_ = std::max(localHighWater_, end);
 
     Instr instr;
@@ -487,7 +506,7 @@ TpcContext::v_st_local(std::int64_t elem_offset, const Vec &v)
     instr.lanes = v.laneCount();
     instr.memOffset = elem_offset * 4;
     instr.memStream = localMemStream;
-    instr.opLabel = opLabel("v_st_local");
+    instr.opLabel = opLabel(Op::StLocal);
     program_.append(instr);
 }
 
@@ -499,10 +518,8 @@ TpcContext::v_ld_local(std::int64_t elem_offset, int lanes)
             localMemoryBytes_, "local memory read out of bounds");
     Vec v;
     v.id = program_.newValue();
-    v.lanes.resize(static_cast<std::size_t>(lanes));
-    for (int i = 0; i < lanes; i++)
-        v.lanes[static_cast<std::size_t>(i)] =
-            localMem_[static_cast<std::size_t>(elem_offset + i)];
+    v.lanes.assign(localMem_.begin() + elem_offset,
+                   localMem_.begin() + elem_offset + lanes);
 
     Instr instr;
     instr.slot = Slot::Load;
@@ -512,7 +529,7 @@ TpcContext::v_ld_local(std::int64_t elem_offset, int lanes)
     instr.lanes = lanes;
     instr.memOffset = elem_offset * 4;
     instr.memStream = localMemStream;
-    instr.opLabel = opLabel("v_ld_local");
+    instr.opLabel = opLabel(Op::LdLocal);
     program_.append(instr);
     return v;
 }

@@ -8,6 +8,11 @@
  * intrinsic both executes functionally on simulated tensors and appends
  * an instruction to the TPC's Program trace for timing evaluation.
  *
+ * Intrinsics pay their checks and bookkeeping once per instruction, not
+ * once per lane: a tensor access bounds-checks its whole element range
+ * once and then copies it in bulk, and each intrinsic's op label and
+ * each tensor's stream id are resolved once per context.
+ *
  * Intrinsic names intentionally follow TPC-C spelling (lower_snake with
  * v_/s_ prefixes) rather than house style, to keep kernels recognizable
  * next to the paper's Figure 2(c) listing.
@@ -16,8 +21,8 @@
 #ifndef VESPERA_TPC_CONTEXT_H
 #define VESPERA_TPC_CONTEXT_H
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string_view>
 #include <vector>
 
@@ -156,12 +161,23 @@ class TpcContext
     /// @}
 
   private:
-    Vec binaryOp(const Vec &a, const Vec &b, float flops_per_lane,
-                 float (*op)(float, float), const char *name);
+    /// Every intrinsic, indexing the per-context label cache.
+    enum class Op : std::uint8_t {
+        LdTnsr, StTnsr, Add, Sub, Mul, Max, Mac, MulS, MacS, Zero, Exp,
+        Reciprocal, Rsqrt, Splat, Iota, CmpEq, CmpLt, CmpGe, Sel,
+        ReduceMax, ReduceAdd, Broadcast, SLd, StLocal, LdLocal, Count,
+    };
+
+    /// Lane-wise op(a[i], b[i]); `op` is inlined into the lane loop.
+    template <typename F>
+    Vec binaryOp(const Vec &a, const Vec &b, float flops_per_lane, F op,
+                 Op name);
 
     /// Label recorded on the next instruction: the user phase label
-    /// when set, otherwise the intrinsic's own name.
-    std::int16_t opLabel(const char *intrinsic);
+    /// when set, otherwise the intrinsic's own name (interned on its
+    /// first use in this context, so the label table keeps first-use
+    /// order).
+    std::int16_t opLabel(Op op);
 
     /// Stable per-context id for the tensor / local-memory stream a
     /// memory instruction touches (Instr::memStream).
@@ -174,8 +190,11 @@ class TpcContext
     std::vector<float> localMem_;
     std::int64_t localHighWater_ = 0;
     std::int16_t userLabel_ = -1;
-    std::map<const void *, std::uint32_t> streams_;
-    std::uint32_t nextStream_ = 2; ///< 1 is reserved for local memory.
+    std::array<std::int16_t, static_cast<std::size_t>(Op::Count)>
+        opLabels_;
+    /// Tensors in first-touch order; the i-th has stream id i + 2
+    /// (1 is reserved for local memory). Kernels touch a handful.
+    std::vector<const void *> streams_;
 };
 
 } // namespace vespera::tpc

@@ -25,41 +25,6 @@ Program::label(std::int16_t index) const
     return labels_[static_cast<std::size_t>(index)];
 }
 
-Flops
-Program::flops() const
-{
-    double total = 0;
-    for (const auto &i : instrs_)
-        total += static_cast<double>(i.flopsPerLane) * i.lanes;
-    return total;
-}
-
-Bytes
-Program::streamBytes() const
-{
-    Bytes total = 0;
-    for (const auto &i : instrs_) {
-        if ((i.slot == Slot::Load || i.slot == Slot::Store) &&
-            i.access == Access::Stream) {
-            total += i.memBytes;
-        }
-    }
-    return total;
-}
-
-Bytes
-Program::randomBytes() const
-{
-    Bytes total = 0;
-    for (const auto &i : instrs_) {
-        if ((i.slot == Slot::Load || i.slot == Slot::Store) &&
-            i.access == Access::Random) {
-            total += i.memBytes;
-        }
-    }
-    return total;
-}
-
 std::uint64_t
 Program::randomTransactions(Bytes granule) const
 {

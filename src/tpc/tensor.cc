@@ -36,24 +36,4 @@ Tensor::flatten(const Int5 &coord) const
     return flat;
 }
 
-float &
-Tensor::at(std::int64_t flat)
-{
-    vassert(flat >= 0 && flat < numElements_,
-            "flat index %lld out of bounds (%lld elements)",
-            static_cast<long long>(flat),
-            static_cast<long long>(numElements_));
-    return data_[static_cast<std::size_t>(flat)];
-}
-
-float
-Tensor::at(std::int64_t flat) const
-{
-    vassert(flat >= 0 && flat < numElements_,
-            "flat index %lld out of bounds (%lld elements)",
-            static_cast<long long>(flat),
-            static_cast<long long>(numElements_));
-    return data_[static_cast<std::size_t>(flat)];
-}
-
 } // namespace vespera::tpc

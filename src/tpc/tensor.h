@@ -16,10 +16,12 @@
 #ifndef VESPERA_TPC_TENSOR_H
 #define VESPERA_TPC_TENSOR_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/types.h"
 
 namespace vespera::tpc {
@@ -44,8 +46,37 @@ class Tensor
     std::int64_t flatten(const Int5 &coord) const;
 
     /** Element access by flat offset, bounds-checked. */
-    float &at(std::int64_t flat);
-    float at(std::int64_t flat) const;
+    float &
+    at(std::int64_t flat)
+    {
+        checkIndex(flat);
+        return data_[static_cast<std::size_t>(flat)];
+    }
+
+    float
+    at(std::int64_t flat) const
+    {
+        checkIndex(flat);
+        return data_[static_cast<std::size_t>(flat)];
+    }
+
+    /**
+     * Elements [flat, flat + count) as one contiguous run, bounds-checked
+     * once for the whole run (the bulk form of at()).
+     */
+    float *
+    range(std::int64_t flat, std::int64_t count)
+    {
+        checkRange(flat, count);
+        return data_.data() + flat;
+    }
+
+    const float *
+    range(std::int64_t flat, std::int64_t count) const
+    {
+        checkRange(flat, count);
+        return data_.data() + flat;
+    }
 
     /** Element access by coordinate. */
     float &at(const Int5 &coord) { return at(flatten(coord)); }
@@ -63,7 +94,43 @@ class Tensor
             data_[static_cast<std::size_t>(i)] = f(i);
     }
 
+    /**
+     * Fill each dim-0 row (dim(0) contiguous elements) with one value
+     * from a callable f(row) -> float, where row = flat / dim(0).
+     */
+    template <typename F>
+    void
+    fillRows(F &&f)
+    {
+        const auto row_len = static_cast<std::size_t>(shape_[0]);
+        float *p = data_.data();
+        for (std::int64_t r = 0; r < numElements_ / shape_[0]; r++) {
+            const float v = f(r);
+            std::fill(p, p + row_len, v);
+            p += row_len;
+        }
+    }
+
   private:
+    void
+    checkIndex(std::int64_t flat) const
+    {
+        vassert(flat >= 0 && flat < numElements_,
+                "flat index %lld out of bounds (%lld elements)",
+                static_cast<long long>(flat),
+                static_cast<long long>(numElements_));
+    }
+
+    void
+    checkRange(std::int64_t flat, std::int64_t count) const
+    {
+        vassert(flat >= 0 && count >= 0 && count <= numElements_ - flat,
+                "flat range [%lld, %lld) out of bounds (%lld elements)",
+                static_cast<long long>(flat),
+                static_cast<long long>(flat + count),
+                static_cast<long long>(numElements_));
+    }
+
     std::vector<std::int64_t> shape_;
     std::vector<std::int64_t> strides_; ///< In elements; stride[0] == 1.
     std::int64_t numElements_;

@@ -127,6 +127,29 @@ TEST_F(RegistryTest, AllKernelsRoundTripThroughLookup)
     }
 }
 
+// Program keeps its flop and byte totals as running sums in append();
+// on every registered trace they equal a fresh sum over instrs().
+TEST_F(RegistryTest, ProgramTotalsMatchFreshSumOnAllKernels)
+{
+    for (const TracedKernel &t :
+         KernelRegistry::instance().traceAll()) {
+        double flops = 0;
+        Bytes stream = 0, random = 0;
+        for (const tpc::Instr &i : t.program.instrs()) {
+            flops += static_cast<double>(i.flopsPerLane) * i.lanes;
+            if (i.slot == tpc::Slot::Load || i.slot == tpc::Slot::Store) {
+                if (i.access == tpc::Access::Stream)
+                    stream += i.memBytes;
+                if (i.access == tpc::Access::Random)
+                    random += i.memBytes;
+            }
+        }
+        EXPECT_EQ(t.program.flops(), flops) << t.name;
+        EXPECT_EQ(t.program.streamBytes(), stream) << t.name;
+        EXPECT_EQ(t.program.randomBytes(), random) << t.name;
+    }
+}
+
 TEST_F(RegistryTest, DuplicateRegistrationFailsLoudly)
 {
     KernelRegistry &reg = KernelRegistry::instance();

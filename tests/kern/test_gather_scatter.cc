@@ -101,5 +101,22 @@ TEST(GatherScatter, DeeperUnrollHelps)
     EXPECT_LT(u16.time, u1.time);
 }
 
+// Config errors name the offending field and its value.
+TEST(GatherScatterDeath, BadConfigNamesField)
+{
+    Rng rng(1);
+    GatherScatterConfig c = smallConfig(256);
+    c.numVectors = 0;
+    EXPECT_DEATH((void)runGatherScatterGaudi(c, rng),
+                 "numVectors .* got 0");
+    c = smallConfig(0);
+    EXPECT_DEATH((void)runGatherScatterGaudi(c, rng),
+                 "vectorBytes .* got 0");
+    c = smallConfig(256);
+    c.accessFraction = 1.5;
+    EXPECT_DEATH((void)runGatherScatterGaudi(c, rng),
+                 "accessFraction .* got 1.5");
+}
+
 } // namespace
 } // namespace vespera::kern

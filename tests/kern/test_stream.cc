@@ -136,5 +136,19 @@ TEST(Stream, CrossoverBetweenDevices)
     EXPECT_GT(a_comp.gflops, 2.5 * g_comp.gflops);
 }
 
+// Config errors name the offending field and its value.
+TEST(StreamDeath, BadConfigNamesField)
+{
+    StreamConfig c = smallConfig(StreamOp::Add);
+    c.numElements = 0;
+    EXPECT_DEATH((void)runStreamGaudi(c), "numElements .* got 0");
+    c = smallConfig(StreamOp::Add);
+    c.unroll = 0;
+    EXPECT_DEATH((void)runStreamGaudi(c), "unroll .* got 0");
+    c = smallConfig(StreamOp::Add);
+    c.numTpcs = -3;
+    EXPECT_DEATH((void)runStreamGaudi(c), "numTpcs .* got -3");
+}
+
 } // namespace
 } // namespace vespera::kern

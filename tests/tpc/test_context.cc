@@ -46,6 +46,39 @@ TEST_F(ContextTest, LoadPastEndZeroFills)
     EXPECT_FLOAT_EQ(v.lanes[40], 0.0f);
 }
 
+TEST_F(ContextTest, StorePastEndClamps)
+{
+    Tensor out({40}, DataType::FP32);
+    out.fill([](std::int64_t) { return -1.0f; });
+    Vec v = ctx_.v_splat(2.0f, 64);
+    ctx_.v_st_tnsr({8, 0, 0, 0, 0}, out, v);
+    // Elements 8..39 are written; the 32 lanes past the end are dropped.
+    EXPECT_FLOAT_EQ(out.at(std::int64_t{7}), -1.0f);
+    EXPECT_FLOAT_EQ(out.at(std::int64_t{8}), 2.0f);
+    EXPECT_FLOAT_EQ(out.at(std::int64_t{39}), 2.0f);
+    // The trace still records the full vector width.
+    EXPECT_EQ(program_.instrs().back().memBytes, 256u);
+}
+
+TEST_F(ContextTest, LoadAtOutOfRangeCoordinatePanics)
+{
+    Tensor t({64, 2}, DataType::FP32);
+    EXPECT_DEATH((void)ctx_.v_ld_tnsr({64, 0, 0, 0, 0}, t),
+                 "coordinate 64 out of bounds for dim 0");
+    EXPECT_DEATH((void)ctx_.v_ld_tnsr({0, 2, 0, 0, 0}, t),
+                 "coordinate 2 out of bounds for dim 1");
+}
+
+TEST_F(ContextTest, StoreAtOutOfRangeCoordinatePanics)
+{
+    Tensor t({64, 2}, DataType::FP32);
+    Vec v = ctx_.v_zero(64);
+    EXPECT_DEATH(ctx_.v_st_tnsr({-1, 0, 0, 0, 0}, t, v),
+                 "coordinate -1 out of bounds for dim 0");
+    EXPECT_DEATH(ctx_.v_st_tnsr({0, 5, 0, 0, 0}, t, v),
+                 "coordinate 5 out of bounds for dim 1");
+}
+
 TEST_F(ContextTest, AddComputesElementwise)
 {
     Tensor a({64}, DataType::FP32), b({64}, DataType::FP32);
@@ -202,6 +235,54 @@ TEST_F(ContextTest, LaneMismatchPanics)
     Vec v64 = ctx_.v_ld_tnsr({0, 0, 0, 0, 0}, a, 256);
     Vec v32 = ctx_.v_ld_tnsr({0, 0, 0, 0, 0}, a, 128);
     EXPECT_DEATH((void)ctx_.v_add(v64, v32), "lane mismatch");
+}
+
+// Program keeps flops()/streamBytes()/randomBytes() as running totals
+// in append(); they must equal a fresh sum over instrs() exactly.
+TEST(ProgramTotals, MatchFreshSumOverInstrs)
+{
+    Program p;
+    auto add = [&p](Slot slot, Access access, Bytes bytes, float fpl,
+                    std::int32_t lanes) {
+        Instr i;
+        i.slot = slot;
+        i.access = access;
+        i.memBytes = bytes;
+        i.flopsPerLane = fpl;
+        i.lanes = lanes;
+        p.append(i);
+    };
+    add(Slot::Load, Access::Stream, 256, 0, 64);
+    add(Slot::Load, Access::Random, 64, 0, 16);
+    add(Slot::Vector, Access::Stream, 0, 2.0f, 64);
+    add(Slot::Vector, Access::Stream, 0, 0.1f, 33);
+    add(Slot::Store, Access::Local, 128, 0, 32);
+    add(Slot::Scalar, Access::Random, 4, 0, 1); // Not a load/store.
+    add(Slot::Store, Access::Random, 256, 0, 64);
+    add(Slot::Store, Access::Stream, 100, 0, 25);
+
+    double flops = 0;
+    Bytes stream = 0, random = 0;
+    for (const Instr &i : p.instrs()) {
+        flops += static_cast<double>(i.flopsPerLane) * i.lanes;
+        if (i.slot == Slot::Load || i.slot == Slot::Store) {
+            if (i.access == Access::Stream)
+                stream += i.memBytes;
+            if (i.access == Access::Random)
+                random += i.memBytes;
+        }
+    }
+    EXPECT_EQ(p.flops(), flops);
+    EXPECT_EQ(p.streamBytes(), 356u);
+    EXPECT_EQ(p.streamBytes(), stream);
+    EXPECT_EQ(p.randomBytes(), 320u);
+    EXPECT_EQ(p.randomBytes(), random);
+
+    // Copies carry the totals with the trace.
+    const Program copy = p;
+    EXPECT_EQ(copy.flops(), flops);
+    EXPECT_EQ(copy.streamBytes(), stream);
+    EXPECT_EQ(copy.randomBytes(), random);
 }
 
 } // namespace

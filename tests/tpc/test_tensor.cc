@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "tpc/tensor.h"
 
 namespace vespera::tpc {
@@ -39,6 +41,26 @@ TEST(Tensor, FillAndRead)
     EXPECT_FLOAT_EQ(t.at(Int5{7, 0, 0, 0, 0}), 49.0f);
 }
 
+TEST(Tensor, FillRowsMatchesPerElementFill)
+{
+    Tensor rows({4, 3, 2}, DataType::FP32), flat({4, 3, 2}, DataType::FP32);
+    rows.fillRows([](std::int64_t r) { return static_cast<float>(r % 5); });
+    flat.fill([](std::int64_t i) { return static_cast<float>(i / 4 % 5); });
+    for (std::int64_t i = 0; i < flat.numElements(); i++)
+        EXPECT_EQ(rows.at(i), flat.at(i)) << i;
+}
+
+TEST(Tensor, RangeViewsContiguousRun)
+{
+    Tensor t({8}, DataType::FP32);
+    t.fill([](std::int64_t i) { return static_cast<float>(i); });
+    const float *p = std::as_const(t).range(3, 5);
+    EXPECT_FLOAT_EQ(p[0], 3.0f);
+    EXPECT_FLOAT_EQ(p[4], 7.0f);
+    t.range(6, 2)[1] = -1.0f;
+    EXPECT_FLOAT_EQ(t.at(std::int64_t{7}), -1.0f);
+}
+
 TEST(Tensor, WriteThroughCoord)
 {
     Tensor t({2, 2}, DataType::FP32);
@@ -58,6 +80,9 @@ TEST(TensorDeath, OutOfBounds)
     Tensor t({4}, DataType::FP32);
     EXPECT_DEATH((void)t.at(std::int64_t{4}), "out of bounds");
     EXPECT_DEATH((void)t.flatten({0, 1, 0, 0, 0}), "beyond tensor rank");
+    // The run is checked as a whole: one element past the end fails.
+    EXPECT_DEATH((void)t.range(2, 3), "flat range \\[2, 5\\) out of bounds");
+    EXPECT_DEATH((void)t.range(-1, 2), "out of bounds");
 }
 
 } // namespace
