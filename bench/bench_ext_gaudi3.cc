@@ -15,7 +15,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "hw/mme.h"
-#include "hw/tensor_core.h"
+#include "kern/gemm.h"
 #include "mem/hbm.h"
 #include "runtime/sweep.h"
 
@@ -29,8 +29,6 @@ main(int argc, char **argv)
     auto opts = bench::parseArgs(argc, argv, "bench_ext_gaudi3");
     const auto &g3 = hw::gaudi3Spec();
     hw::MmeModel mme3(g3);
-    hw::MmeModel mme2;
-    hw::TensorCoreModel tc;
 
     printHeading("Projected GEMM throughput (BF16 TFLOPS)");
     Table t({"Shape", "A100", "Gaudi-2", "Gaudi-3 (proj.)",
@@ -39,9 +37,11 @@ main(int argc, char **argv)
     runtime::SweepRunner sweepr("ext_gaudi3.gemm");
     auto rows = sweepr.map(sizes, [&](std::int64_t s) {
         hw::GemmShape shape{s, s, s};
-        auto a = tc.gemm(shape, DataType::BF16);
-        auto g2 = mme2.gemm(shape, DataType::BF16);
+        auto a = kern::runGemm(DeviceKind::A100, shape, DataType::BF16);
+        auto g2 = kern::runGemm(DeviceKind::Gaudi2, shape, DataType::BF16);
         auto g3c = mme3.gemm(shape, DataType::BF16);
+        kern::chargeGemm(g3c.engine, shape, g3c.geometry, g3c.time,
+                         g3c.computeTime, g3c.memoryTime, false);
         return std::vector<std::string>{
             strfmt("%lld^3", static_cast<long long>(s)),
             Table::num(a.achievedFlops / TFLOPS, 0),

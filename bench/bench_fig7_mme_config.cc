@@ -17,6 +17,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "hw/mme.h"
+#include "kern/gemm.h"
 #include "runtime/sweep.h"
 
 #include "bench_common.h"
@@ -41,7 +42,8 @@ main(int argc, char **argv)
             const auto n = dims[i % dims.size()];
             hw::GemmShape shape{m, 16384, n};
             auto g = mme.selectGeometry(shape, DataType::BF16);
-            auto cost = mme.gemm(shape, DataType::BF16);
+            auto cost =
+                kern::runGemm(DeviceKind::Gaudi2, shape, DataType::BF16);
             return std::vector<std::string>{
                 Table::integer(m), Table::integer(n), g.label(),
                 Table::pct(cost.activeMacFraction, 0),
@@ -67,7 +69,8 @@ main(int argc, char **argv)
         hw::GemmShape shape{16384, 16384, n};
         auto fixed = mme.gemmWithGeometry(shape, DataType::BF16,
                                           hw::MmeModel::fixedGeometry());
-        auto conf = mme.gemm(shape, DataType::BF16);
+        auto conf =
+            kern::runGemm(DeviceKind::Gaudi2, shape, DataType::BF16);
         return UtilPair{fixed.utilization, conf.utilization};
     });
     for (std::size_t i = 0; i < ns.size(); i++) {

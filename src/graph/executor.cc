@@ -14,18 +14,34 @@ namespace vespera::graph {
 
 namespace {
 
-const char *
-opKindSlug(OpKind kind)
+/** `graph.time.<kind>`, registered on the kind's first use. */
+template <OpKind K>
+obs::Counter &
+timeCounter(const char *name)
+{
+    static obs::Counter &c = obs::CounterRegistry::instance().counter(name);
+    return c;
+}
+
+obs::Counter &
+timeCounter(OpKind kind)
 {
     switch (kind) {
-      case OpKind::Input: return "input";
-      case OpKind::MatMul: return "matmul";
-      case OpKind::Elementwise: return "elementwise";
-      case OpKind::Normalization: return "normalization";
-      case OpKind::AllReduce: return "allreduce";
-      case OpKind::Custom: return "custom";
+      case OpKind::Input:
+        break;
+      case OpKind::MatMul:
+        return timeCounter<OpKind::MatMul>("graph.time.matmul");
+      case OpKind::Elementwise:
+        return timeCounter<OpKind::Elementwise>("graph.time.elementwise");
+      case OpKind::Normalization:
+        return timeCounter<OpKind::Normalization>(
+            "graph.time.normalization");
+      case OpKind::AllReduce:
+        return timeCounter<OpKind::AllReduce>("graph.time.allreduce");
+      case OpKind::Custom:
+        return timeCounter<OpKind::Custom>("graph.time.custom");
     }
-    return "unknown";
+    vpanic("input nodes take no time");
 }
 
 } // namespace
@@ -94,17 +110,21 @@ Executor::costNode(const Node &node) const
     OpCost c;
     switch (node.kind) {
       case OpKind::Input:
-        return c;
+        break;
       case OpKind::MatMul: {
-        hw::GemmCost g = kern::runGemm(device_, node.gemm,
-                                       node.output.dt);
+        hw::GemmCost g = kern::gemmCost(device_, node.gemm,
+                                        node.output.dt);
         c.time = g.time;
         c.matrixBusy = std::min(g.computeTime, g.time);
         c.flops = node.gemm.flops();
         c.hbmBytes = node.gemm.idealTraffic(node.output.dt);
         c.matrixUtil = g.utilization;
         c.macFraction = g.activeMacFraction;
-        return c;
+        c.engine = g.engine;
+        c.gemm = node.gemm;
+        c.geometry = std::move(g.geometry);
+        c.memoryTime = g.memoryTime;
+        break;
       }
       case OpKind::Elementwise:
       case OpKind::Normalization: {
@@ -117,24 +137,57 @@ Executor::costNode(const Node &node) const
         c.vectorBusy = v.time;
         c.flops = flops;
         c.hbmBytes = node.trafficBytes;
-        return c;
+        break;
       }
       case OpKind::AllReduce: {
         auto r = collective_.run(coll::CollectiveOp::AllReduce,
                                  node.output.bytes(), node.commDevices);
         c.time = r.time;
         c.commTime = r.time;
-        return c;
+        break;
       }
-      case OpKind::Custom: {
-        return node.customCost(device_);
-      }
+      case OpKind::Custom:
+        c = node.customCost(device_);
+        break;
     }
-    vpanic("unknown op kind");
+    c.kind = node.kind;
+    return c;
 }
 
 ExecutionReport
 Executor::run(const Graph &graph) const
+{
+    ExecutionReport report = evaluate(graph);
+    fold(report.perNode);
+    return report;
+}
+
+void
+Executor::fold(const std::vector<OpCost> &perNode)
+{
+    static obs::Counter &ops =
+        obs::CounterRegistry::instance().counter("graph.ops");
+    const std::string *prev_geometry = nullptr;
+    for (const OpCost &c : perNode) {
+        if (c.kind == OpKind::Input)
+            continue;
+        if (c.kind == OpKind::MatMul) {
+            const bool reconfigured = c.engine == hw::GemmEngine::Mme &&
+                                      prev_geometry &&
+                                      *prev_geometry != c.geometry;
+            kern::chargeGemm(c.engine, c.gemm, c.geometry, c.time,
+                             c.matrixBusy, c.memoryTime, reconfigured);
+            prev_geometry = &c.geometry;
+        }
+        // Per-OpKind execution-time breakdown (the per-op view the
+        // Gaudi profiler timeline aggregates to).
+        timeCounter(c.kind).add(c.time);
+        ops.add();
+    }
+}
+
+ExecutionReport
+Executor::evaluate(const Graph &graph) const
 {
     ExecutionReport report;
     report.perNode.resize(graph.size());
@@ -147,37 +200,23 @@ Executor::run(const Graph &graph) const
 
     double util_weight = 0, util_sum = 0, mac_sum = 0;
 
-    auto &registry = obs::CounterRegistry::instance();
     obs::Profiler &profiler = obs::Profiler::instance();
     const bool sampling = profiler.enabled();
 
-    // Kernel-granularity replay cache: a node's cost is a pure
-    // (observed) function of its payload + device, so identical nodes
-    // across steps are costed once and their counter/attribution side
-    // effects replayed (replay_cache.h). Tracing disables it (spans
-    // are not replayable); un-keyable nodes evaluate fresh.
+    // Node memo (replay_cache.h): identical nodes across steps are
+    // costed once; un-keyable nodes evaluate fresh.
     ReplayCache<OpCost> &cache = nodeReplayCache();
     const bool memoize = cache.enabled() && !sampling;
 
     for (const Node &node : graph.nodes()) {
         if (node.fusedAway)
             continue;
-        OpCost c;
+        OpCost &c = report.perNode[static_cast<std::size_t>(node.id)];
         std::string key;
         if (memoize && !(key = nodeReplayKey(node, device_)).empty())
             c = cache.runMemoized(key, [&] { return costNode(node); });
         else
             c = costNode(node);
-        report.perNode[static_cast<std::size_t>(node.id)] = c;
-
-        // Per-OpKind execution-time breakdown (the per-op view the
-        // Gaudi profiler timeline aggregates to).
-        if (node.kind != OpKind::Input) {
-            registry
-                .counter(std::string("graph.time.") + opKindSlug(node.kind))
-                .add(c.time);
-            registry.counter("graph.ops").add();
-        }
 
         Seconds contribution = c.time;
         if (node.pipelinedWithProducer) {

@@ -1,7 +1,9 @@
 /**
  * @file
  * Times a compiled graph against one device's engine models and
- * produces the activity profile the power model consumes.
+ * produces the activity profile the power model consumes. Execution is
+ * a pure evaluate() and a fold() that charges what was evaluated, so a
+ * memoized evaluation (graph/replay_cache.h) charges like a fresh one.
  */
 
 #ifndef VESPERA_GRAPH_EXECUTOR_H
@@ -67,7 +69,24 @@ class Executor
   public:
     explicit Executor(DeviceKind device);
 
+    /** evaluate(), then fold() its per-node costs. */
     ExecutionReport run(const Graph &graph) const;
+
+    /**
+     * Cost every live node (through the node memo) and compose the
+     * report. Charges nothing; only samples the per-op counter tracks
+     * while the profiler traces.
+     */
+    ExecutionReport evaluate(const Graph &graph) const;
+
+    /**
+     * Charge one graph's ExecutionReport::perNode in node order: each
+     * MatMul through kern::chargeGemm, then `graph.time.<kind>` and
+     * `graph.ops`. A MatMul whose geometry differs from the previous
+     * MatMul of the same graph reconfigured the MME, so
+     * `mme.reconfigs` counts per graph.
+     */
+    static void fold(const std::vector<OpCost> &perNode);
 
     DeviceKind device() const { return device_; }
 

@@ -49,7 +49,7 @@ enum class OpKind {
     Custom,        ///< Externally-costed kernel (e.g. PagedAttention).
 };
 
-/** Per-node cost, as computed by the Executor. */
+/** Per-node cost, and what Executor::fold charges for the node. */
 struct OpCost
 {
     Seconds time = 0;        ///< Wall time this node contributes.
@@ -60,6 +60,15 @@ struct OpCost
     Bytes hbmBytes = 0;
     double matrixUtil = 0;   ///< Utilization while the matrix engine ran.
     double macFraction = 1;  ///< Powered MAC fraction while it ran.
+
+    /// Input also marks a fused-away node; fold charges neither.
+    OpKind kind = OpKind::Input;
+    /// MatMul only (compute time is `matrixBusy`). Geometry labels are
+    /// short enough to stay in the string's inline buffer.
+    hw::GemmEngine engine = hw::GemmEngine::Mme;
+    hw::GemmShape gemm;
+    std::string geometry;
+    Seconds memoryTime = 0;
 };
 
 /** One IR node. */

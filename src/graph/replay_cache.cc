@@ -11,10 +11,10 @@ nodeReplayCache()
     return cache;
 }
 
-ReplayCache<ExecutionReport> &
+ReplayCache<StepEval> &
 stepReplayCache()
 {
-    static ReplayCache<ExecutionReport> cache("step", 1024);
+    static ReplayCache<StepEval> cache("step", 1024);
     return cache;
 }
 

@@ -1,56 +1,24 @@
 /**
  * @file
- * Replay cache: memoized kernel-cost evaluations that reproduce their
- * side effects bit-for-bit (ROADMAP item 2).
+ * Replay caches: keyed value memos of pure kernel-cost evaluations.
  *
- * The serving sweeps evaluate the same kernels at the same shapes
- * thousands of times: every decode step at a given (batch, context
- * bucket) costs the same GEMMs, vector ops and attention kernel
- * through the same analytic models. Those evaluations are pure
- * functions of (kernel, shape, device, granularity) — but they are
- * *observed* functions: each one charges obs counters, settles an
- * attribution breakdown, and may flip order-dependent telemetry like
- * `mme.reconfigs`. A value-only memo would silently change every
- * metrics document.
+ * The serving sweeps cost the same kernels at the same shapes thousands
+ * of times. The cost models return their costs and charge nothing
+ * (hw/mme.h), so a memo stores the value only; the caller's fold
+ * (graph::Executor::fold) charges it on every use, hit or miss. Cache
+ * on and cache off thus charge bitwise-identical counters at any
+ * thread count (tests/property/prop_replay_cache.cc). Two instances:
+ *  - the **node memo** (`replay.node.*`) stores one graph node's
+ *    OpCost, keyed by its full cost payload + device, so a new context
+ *    bucket re-evaluates only the attention node;
+ *  - the **step memo** (`replay.step.*`) stores a model step's StepEval
+ *    (models::LlamaModel::stepReport), skipping graph construction and
+ *    compilation on repeat steps (the fig12 sweep point's >=3x gate).
  *
- * The replay cache therefore memoizes the *pair* (value, side-effect
- * log). A miss runs the evaluation under an obs::ScopedCapture and
- * stores the value together with a **pristine copy** of the captured
- * log; the original log is then replayed so the miss behaves exactly
- * like an uncached evaluation. A hit replays a fresh copy of the
- * stored log — fresh, because Deferred ops (obs/capture.h) are
- * mutable closures: `mme.reconfigs`' closure settles its captured
- * breakdown on first invocation, so a copy taken *before* any
- * invocation is the only safe thing to re-run. Replay goes through
- * the public counter API, so a hit inside an enclosing capture (a
- * sweep point on a pool worker) defers outward exactly like the
- * fresh evaluation would have. Net effect: **cache on and cache off
- * produce bitwise-identical counters, histograms and attribution at
- * any thread count** — the property tests/property/prop_replay_cache.cc
- * pins down.
- *
- * Two instances cover the two granularities:
- *  - the **node cache** (`replay.node.*`) memoizes one graph node's
- *    OpCost in graph::Executor::run — keyed by the node's full cost
- *    payload + device, so a new context bucket re-evaluates only the
- *    attention node while the dozen shape-invariant GEMMs of the
- *    layer hit;
- *  - the **step cache** (`replay.step.*`) memoizes a whole model
- *    step's ExecutionReport in models::LlamaModel::stepReport —
- *    skipping graph construction and compilation entirely on repeat
- *    steps (the fig12 sweep point's ≥3× wall-time gate rides on
- *    this).
- *
- * Caches disable themselves while the obs::Profiler is tracing:
- * spans/timeline samples are not captured ops, so a replayed hit
- * could not reproduce them.
- *
- * Observability: hits/misses/inserts/evictions are `replay.<ns>.*`
- * counters updated under obs::CaptureBypass (true process-wide
- * counts) and excluded from the deterministic metrics document —
- * like `runtime.*`, they legitimately vary with --threads. Keyed
- * hit/miss attribution also lands in the host self-profile
- * (obs::SelfProf::cacheHit/cacheMiss) when --selfprof is on.
+ * Both bypass themselves while the obs::Profiler traces. Their
+ * `replay.<ns>.*` stats vary with --threads and process history, so
+ * metrics documents exclude them; --selfprof also reports keyed hits
+ * and misses in the host self-profile.
  */
 
 #ifndef VESPERA_GRAPH_REPLAY_CACHE_H
@@ -62,10 +30,10 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "graph/executor.h"
 #include "graph/graph.h"
-#include "obs/capture.h"
 #include "obs/counters.h"
 #include "obs/profiler.h"
 #include "obs/selfprof.h"
@@ -73,9 +41,8 @@
 namespace vespera::graph {
 
 /**
- * Keyed memo of (value, captured side-effect log) with LRU eviction.
- * Thread-safe; the lock covers only map access, never an evaluation
- * or a replay.
+ * Keyed value memo with LRU eviction. Thread-safe; the lock covers
+ * only map access, never an evaluation.
  */
 template <typename V>
 class ReplayCache
@@ -122,29 +89,10 @@ class ReplayCache
         return map_.size();
     }
 
-    void
-    setCapacity(std::size_t capacity)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        capacity_ = capacity;
-        while (map_.size() > capacity_)
-            evictLruLocked();
-    }
-
-    std::size_t
-    capacity() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return capacity_;
-    }
-
     /**
-     * Memoized evaluation. Hit: replay a pristine copy of the stored
-     * log and return the stored value — observationally identical to
-     * running `fn`. Miss: run `fn` under a capture, store (value,
-     * pristine log copy), then replay the original so this call's
-     * effects land exactly once. Bypasses itself (plain `fn()`) while
-     * disabled or while the profiler is tracing.
+     * Memoized evaluation: the stored value on a hit, else `fn()`,
+     * stored. `fn` must be a pure cost evaluation. Bypasses itself
+     * (plain `fn()`) while disabled or while the profiler is tracing.
      */
     template <typename Fn>
     V
@@ -159,56 +107,29 @@ class ReplayCache
             if (it != map_.end()) {
                 it->second.lastUse = ++useTick_;
                 V value = it->second.value;
-                obs::SideEffectLog log = it->second.log;
                 lock.unlock();
-                {
-                    obs::CaptureBypass bypass;
-                    hits_.add();
-                }
+                hits_.add();
                 if (obs::SelfProf::instance().enabled())
                     obs::SelfProf::instance().cacheHit(key);
-                log.replay();
                 return value;
             }
         }
 
-        {
-            obs::CaptureBypass bypass;
-            misses_.add();
-        }
+        misses_.add();
         if (obs::SelfProf::instance().enabled())
             obs::SelfProf::instance().cacheMiss(key);
 
-        obs::SideEffectLog log;
-        V value;
-        {
-            obs::ScopedCapture capture(log);
-            value = fn();
+        V value = fn();
+        std::lock_guard<std::mutex> lock(mu_);
+        auto [it, inserted] = map_.try_emplace(key);
+        it->second.lastUse = ++useTick_;
+        if (inserted) {
+            it->second.value = value;
+            inserts_.add();
+            if (map_.size() > capacity_)
+                evictLruLocked();
         }
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            auto [it, inserted] = map_.try_emplace(key);
-            if (inserted) {
-                // Store the value and a pristine copy of the log NOW —
-                // replaying first would consume the log and trip the
-                // Deferred closures' one-shot state.
-                it->second.value = value;
-                it->second.log = log;
-                it->second.lastUse = ++useTick_;
-                {
-                    obs::CaptureBypass bypass;
-                    inserts_.add();
-                }
-                if (map_.size() > capacity_)
-                    evictLruLocked();
-            } else {
-                // Concurrent filler won the race; keep its entry.
-                it->second.lastUse = ++useTick_;
-            }
-        }
-        // Apply this evaluation's own effects in the caller's context
-        // (or append them to its enclosing capture).
-        log.replay();
+        // else: a concurrent filler won the race; keep its entry.
         return value;
     }
 
@@ -216,7 +137,6 @@ class ReplayCache
     struct Entry
     {
         V value{};
-        obs::SideEffectLog log;
         std::uint64_t lastUse = 0;
     };
 
@@ -230,7 +150,6 @@ class ReplayCache
         }
         if (victim != map_.end()) {
             map_.erase(victim);
-            obs::CaptureBypass bypass;
             evictions_.add();
         }
     }
@@ -246,11 +165,21 @@ class ReplayCache
     obs::Counter &evictions_;
 };
 
-/** Process-wide node-granularity cache (graph::Executor). */
+/**
+ * What the step memo stores: a step's composed report, and each of
+ * its graphs' per-node costs, to fold graph by graph on every use.
+ */
+struct StepEval
+{
+    ExecutionReport report;
+    std::vector<std::vector<OpCost>> graphs;
+};
+
+/** Process-wide node-granularity memo (graph::Executor). */
 ReplayCache<OpCost> &nodeReplayCache();
 
-/** Process-wide step-granularity cache (models::LlamaModel). */
-ReplayCache<ExecutionReport> &stepReplayCache();
+/** Process-wide step-granularity memo (models::LlamaModel). */
+ReplayCache<StepEval> &stepReplayCache();
 
 /**
  * Cache key for one graph node on one device: the node's complete

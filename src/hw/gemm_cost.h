@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared GEMM shape/cost descriptors used by the MME (Gaudi) and Tensor
- * Core (A100) matrix-engine models.
+ * Core (A100) matrix-engine models. The models are pure: callers charge
+ * their costs (kern::chargeGemm) in their own order.
  */
 
 #ifndef VESPERA_HW_GEMM_COST_H
@@ -41,6 +42,12 @@ struct GemmShape
     }
 };
 
+/** The matrix engine a GEMM ran on: its counter and ledger namespace. */
+enum class GemmEngine : std::uint8_t {
+    Mme, ///< Gaudi MME: `mme.*` counters, attribution scope "mme".
+    Tc,  ///< A100 tensor cores: `tc.*` counters, attribution scope "tc".
+};
+
 /** Outcome of costing one GEMM on a matrix engine. */
 struct GemmCost
 {
@@ -51,6 +58,7 @@ struct GemmCost
     double utilization = 0;      ///< achievedFlops / device peak.
     double activeMacFraction = 1; ///< Fraction of MAC array powered.
     std::string geometry;        ///< Chosen array geometry / tile label.
+    GemmEngine engine = GemmEngine::Mme; ///< The engine that ran it.
 
     bool memoryBound() const { return memoryTime > computeTime; }
 };

@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "obs/attrib.h"
-#include "obs/capture.h"
-#include "obs/counters.h"
 
 namespace vespera::hw {
 
@@ -101,6 +98,7 @@ MmeModel::gemmWithGeometry(const GemmShape &shape, DataType dt,
     cost.activeMacFraction = static_cast<double>(geom.totalMacs()) /
                              (mmeCount_ * 65536.0);
     cost.geometry = geom.label();
+    cost.engine = GemmEngine::Mme;
     return cost;
 }
 
@@ -135,63 +133,7 @@ MmeModel::selectGeometry(const GemmShape &shape, DataType dt) const
 GemmCost
 MmeModel::gemm(const GemmShape &shape, DataType dt) const
 {
-    GemmCost cost = gemmWithGeometry(shape, dt, selectGeometry(shape, dt));
-
-    auto &registry = obs::CounterRegistry::instance();
-    static obs::Counter &gemms = registry.counter("mme.gemms");
-    static obs::Counter &flops = registry.counter("mme.flops");
-    static obs::Counter &busy = registry.counter("mme.busy_seconds");
-    static obs::Counter &reconfigs = registry.counter("mme.reconfigs");
-    gemms.add();
-    flops.add(shape.flops());
-    busy.add(cost.time);
-
-    // Attribution: overlapped compute is useful work; only the stall
-    // the bandwidth term exposes beyond it is charged to memory_bw.
-    // The launch overhead's category depends on the reconfig decision
-    // below (geometry switch -> reconfig, else exposed_latency).
-    static const int attribScope =
-        obs::AttributionLedger::instance().scope("mme");
-    obs::AttribBreakdown b;
-    b[obs::AttribCat::Compute] = cost.computeTime;
-    b[obs::AttribCat::MemoryBw] =
-        std::max(0.0, cost.memoryTime - cost.computeTime);
-
-    // The reconfig decision compares against the *previous* gemm()
-    // call's geometry — an order-dependent read of shared state. Under
-    // a capture (parallel task) it must not run on the worker thread:
-    // defer it to the outermost replay, which is serial and
-    // index-ordered, so the count matches serial execution exactly.
-    // The attribution charge rides the same closure since the launch
-    // overhead's category hinges on that decision (and the ledger's
-    // per-op lane is itself order-dependent).
-    auto apply_tail = [this, geom = cost.geometry, b,
-                       total = cost.time,
-                       op = strfmt("gemm %lldx%lldx%lld %s",
-                                   static_cast<long long>(shape.m),
-                                   static_cast<long long>(shape.k),
-                                   static_cast<long long>(shape.n),
-                                   cost.geometry.c_str())]() mutable {
-        bool reconfigured = false;
-        if (geom != lastGeometry_) {
-            if (!lastGeometry_.empty()) {
-                reconfigs.add();
-                reconfigured = true;
-            }
-            lastGeometry_ = geom;
-        }
-        const obs::AttribCat launchCat =
-            reconfigured ? obs::AttribCat::Reconfig
-                         : obs::AttribCat::ExposedLat;
-        b.settle(launchCat, total);
-        obs::AttributionLedger::instance().charge(attribScope,
-                                                  std::move(op), b);
-    };
-    if (obs::SideEffectLog *log = obs::ScopedCapture::current())
-        log->appendDeferred(std::move(apply_tail));
-    else
-        apply_tail();
-    return cost;
+    return gemmWithGeometry(shape, dt, selectGeometry(shape, dt));
 }
 
 } // namespace vespera::hw

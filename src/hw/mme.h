@@ -10,6 +10,11 @@
  * fastest — exactly the decision the Gaudi graph compiler makes. A
  * fixed-geometry entry point reproduces the non-configurable baseline of
  * Figure 7(c).
+ *
+ * The model is pure: it charges nothing. Whether a GEMM reconfigured
+ * the array depends on the GEMM before it, so the owner of the op
+ * sequence decides it: graph::Executor counts `mme.reconfigs` per
+ * graph, and kern::chargeGemm charges counters and attribution.
  */
 
 #ifndef VESPERA_HW_MME_H
@@ -47,7 +52,8 @@ class MmeModel
     /**
      * Cost a GEMM with the geometry chosen by the (modeled) graph
      * compiler: the candidate minimizing predicted time, tie-broken
-     * toward fewer powered MACs.
+     * toward fewer powered MACs. Pure: the same inputs give the same
+     * cost in any call order.
      */
     GemmCost gemm(const GemmShape &shape, DataType dt) const;
 
@@ -79,13 +85,6 @@ class MmeModel
     const DeviceSpec &spec_;
     int mmeCount_;
     std::vector<MmeGeometry> geometries_;
-    /// Last geometry chosen by gemm(), for counting reconfiguration
-    /// events (`mme.reconfigs`) the way the Gaudi profiler surfaces
-    /// them. Telemetry only — never read by the cost math. Only ever
-    /// touched serially: under a runtime capture the update is
-    /// deferred to the outermost index-ordered replay (obs/capture.h),
-    /// so the count is thread-count-invariant.
-    mutable std::string lastGeometry_;
 
     /// Extra cycles charged per output tile (tile-switch bubbles).
     static constexpr double tileOverheadCycles_ = 24;

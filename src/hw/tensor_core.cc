@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "obs/attrib.h"
-#include "obs/counters.h"
 
 namespace vespera::hw {
 
@@ -63,6 +61,7 @@ TensorCoreModel::gemmWithTile(const GemmShape &shape, DataType dt,
     cost.utilization = cost.achievedFlops / spec_.matrixPeak(dt);
     cost.activeMacFraction = 1.0;
     cost.geometry = strfmt("%dx%d", tile_m, tile_n);
+    cost.engine = GemmEngine::Tc;
     return cost;
 }
 
@@ -78,34 +77,6 @@ TensorCoreModel::gemm(const GemmShape &shape, DataType dt) const
             first = false;
         }
     }
-
-    auto &registry = obs::CounterRegistry::instance();
-    static obs::Counter &gemms = registry.counter("tc.gemms");
-    static obs::Counter &flops = registry.counter("tc.flops");
-    static obs::Counter &busy = registry.counter("tc.busy_seconds");
-    gemms.add();
-    flops.add(shape.flops());
-    busy.add(best.time);
-
-    // Attribution mirrors the MME split minus the reconfig category
-    // (tile choice is per-kernel on the A100, not a persistent array
-    // reconfiguration): overlapped compute is useful work, the stall
-    // beyond it is memory_bw, and the launch overhead is exposed
-    // latency (the residual absorbing fp residue).
-    static const int attribScope =
-        obs::AttributionLedger::instance().scope("tc");
-    obs::AttribBreakdown b;
-    b[obs::AttribCat::Compute] = best.computeTime;
-    b[obs::AttribCat::MemoryBw] =
-        std::max(0.0, best.memoryTime - best.computeTime);
-    b.settle(obs::AttribCat::ExposedLat, best.time);
-    obs::AttributionLedger::instance().charge(
-        attribScope,
-        strfmt("gemm %lldx%lldx%lld %s",
-               static_cast<long long>(shape.m),
-               static_cast<long long>(shape.k),
-               static_cast<long long>(shape.n), best.geometry.c_str()),
-        b);
     return best;
 }
 

@@ -26,7 +26,10 @@ class TensorCoreModel
   public:
     explicit TensorCoreModel(const DeviceSpec &spec = a100Spec());
 
-    /** Cost a GEMM with the best CTA tile (cuBLAS-style selection). */
+    /**
+     * Cost a GEMM with the best CTA tile (cuBLAS-style selection).
+     * Pure, like MmeModel::gemm: charging is kern::chargeGemm's job.
+     */
     GemmCost gemm(const GemmShape &shape, DataType dt) const;
 
     /** Cost a GEMM with one specific (tileM, tileN) CTA tile. */

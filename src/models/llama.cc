@@ -232,10 +232,10 @@ LlamaModel::stepReport(DeviceKind device, int batch,
     // share out, so the two categories never double-count.
     obs::SelfTimer self(obs::SelfCat::KernelEval);
 
-    // Step-granularity replay cache: the whole report — graph build,
-    // compile, execute, LM head — is a pure (observed) function of
-    // the architecture + step shape, so repeat steps skip even the
-    // graph construction (replay_cache.h).
+    // Step memo (replay_cache.h): the evaluation — graph build,
+    // compile, both graphs' per-node costs — is a pure function of the
+    // architecture + step shape, so repeat steps skip even the graph
+    // construction. Hit or miss, the step then folds both graphs.
     const std::string key = strfmt(
         "llama_step|%s|l%d.h%d.i%d.q%d.kv%d.d%d.v%d|%s|b%d|t%d|ctx%lld"
         "|p%d|tp%d|a%d|%s",
@@ -246,12 +246,12 @@ LlamaModel::stepReport(DeviceKind device, int batch,
         prefill ? 1 : 0, cfg.tpDevices, static_cast<int>(cfg.attention),
         dtypeName(cfg.dt));
 
-    return graph::stepReplayCache().runMemoized(key, [&] {
+    graph::StepEval step = graph::stepReplayCache().runMemoized(key, [&] {
         // The step's transient containers (graph nodes, compiler
         // scratch) bump-allocate from this thread's scratch arena and
         // are reclaimed wholesale on scope exit; the scope outlives
         // the graphs below, which is what makes their destructors
-        // safe. The returned report uses ordinary heap storage.
+        // safe. The returned evaluation uses ordinary heap storage.
         mem::ScopedArena arena(mem::Arena::scratch());
 
         graph::Graph layer = buildStepGraph(device, batch,
@@ -261,10 +261,10 @@ LlamaModel::stepReport(DeviceKind device, int batch,
         compiler.compile(layer);
         layer.validate();
         graph::Executor executor(device);
-        graph::ExecutionReport one = executor.run(layer);
+        graph::ExecutionReport one = executor.evaluate(layer);
 
-        graph::ExecutionReport total;
-        graph::accumulate(total, one, config_.layers);
+        graph::StepEval eval;
+        graph::accumulate(eval.report, one, config_.layers);
 
         // LM head over the last token of each request.
         graph::Graph head;
@@ -274,10 +274,16 @@ LlamaModel::stepReport(DeviceKind device, int batch,
             {{config_.hidden, config_.vocab / cfg.tpDevices}, cfg.dt},
             "w_lm_head");
         (void)head.matmul(hx, wl, "lm_head");
-        graph::ExecutionReport head_rep = executor.run(head);
-        graph::accumulate(total, head_rep);
-        return total;
+        graph::ExecutionReport head_rep = executor.evaluate(head);
+        graph::accumulate(eval.report, head_rep);
+
+        eval.graphs.push_back(std::move(one.perNode));
+        eval.graphs.push_back(std::move(head_rep.perNode));
+        return eval;
     });
+    for (const auto &costs : step.graphs)
+        graph::Executor::fold(costs);
+    return std::move(step.report);
 }
 
 Seconds

@@ -121,7 +121,7 @@ void AttributionLedger::charge(int scopeId, std::string opName,
     ops->add(1.0);
 
     // Per-op span records mutate the scope's lane cursor — order-
-    // dependent state, so defer under capture like mme.reconfigs.
+    // dependent state, so defer under capture.
     if (!Profiler::instance().enabled())
         return;
     if (SideEffectLog *log = ScopedCapture::current()) {

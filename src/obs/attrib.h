@@ -25,10 +25,9 @@
  *    charge order, not aligned to an engine/sweep timeline.
  *
  * Determinism: aggregate charges ride the normal Counter::add capture
- * path. The per-op span/lane-cursor mutation is order-dependent state
- * (like `mme.reconfigs`), so under an active ScopedCapture it is
- * logged as a Deferred op and runs at the outermost replay, serially,
- * in task-index order.
+ * path. The per-op span/lane-cursor mutation is order-dependent state,
+ * so under an active ScopedCapture it is logged as a Deferred op and
+ * runs at the outermost replay, serially, in task-index order.
  */
 
 #ifndef VESPERA_OBS_ATTRIB_H

@@ -24,16 +24,6 @@ ScopedCapture::current()
     return t_capture;
 }
 
-CaptureBypass::CaptureBypass() : prev_(t_capture)
-{
-    t_capture = nullptr;
-}
-
-CaptureBypass::~CaptureBypass()
-{
-    t_capture = prev_;
-}
-
 void
 SideEffectLog::replay()
 {

@@ -19,6 +19,9 @@
  * replay performed inside an enclosing capture (nested parallel_for)
  * simply appends to the outer log; nesting composes with no special
  * cases.
+ *
+ * Cost models return their costs instead of charging them, so their
+ * memos (graph/replay_cache.h) need no capture.
  */
 
 #ifndef VESPERA_OBS_CAPTURE_H
@@ -49,13 +52,14 @@ struct SideEffectOp
     double a = 0;
     double b = 0;
     /// Kind::Deferred only. Some telemetry is not a plain accumulation
-    /// but a decision over *call order* (e.g. `mme.reconfigs` fires
-    /// when one GEMM's geometry differs from the previous call's).
-    /// Such a decision made on a worker thread would depend on the
-    /// interleaving, so it is logged as a closure instead and executed
-    /// only at the *outermost* replay: replay under an enclosing
-    /// capture re-appends the op rather than running it, so the
-    /// closure always runs serially, in task-index order.
+    /// but a mutation of order-dependent shared state (e.g. an
+    /// attributed span advances its scope's lane cursor, and a
+    /// SelfProf charge lands in a shared ledger). Such an update made
+    /// on a worker thread would depend on the interleaving, so it is
+    /// logged as a closure instead and executed only at the
+    /// *outermost* replay: replay under an enclosing capture
+    /// re-appends the op rather than running it, so the closure always
+    /// runs serially, in task-index order.
     std::function<void()> fn;
 };
 
@@ -71,10 +75,6 @@ class SideEffectLog
      * the public API, so replay under an active capture nests.
      */
     void replay();
-
-    bool empty() const { return ops_.empty(); }
-    std::size_t size() const { return ops_.size(); }
-    void clear() { ops_.clear(); }
 
     void append(SideEffectOp op) { ops_.push_back(std::move(op)); }
 
@@ -107,28 +107,6 @@ class ScopedCapture
 
     /** The log capturing this thread's updates, or nullptr if live. */
     static SideEffectLog *current();
-
-  private:
-    SideEffectLog *prev_;
-};
-
-/**
- * RAII: while alive, counter updates by this thread go straight to
- * the shared atomics even under an enclosing ScopedCapture. For
- * host-side bookkeeping (e.g. the replay cache's own hit/miss/evict
- * counters) that must reflect what the process actually did: such
- * counters are excluded from the deterministic metrics document, and
- * deferring them into a capture log would double-count them when a
- * stored log is replayed per cache hit.
- */
-class CaptureBypass
-{
-  public:
-    CaptureBypass();
-    ~CaptureBypass();
-
-    CaptureBypass(const CaptureBypass &) = delete;
-    CaptureBypass &operator=(const CaptureBypass &) = delete;
 
   private:
     SideEffectLog *prev_;

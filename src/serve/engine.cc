@@ -27,7 +27,16 @@ costOf(const graph::ExecutionReport &r)
 Engine::Engine(const models::LlamaModel &model, EngineConfig config)
     : model_(model), config_(config)
 {
-    vassert(config.maxDecodeBatch >= 1, "bad max batch");
+    // Sizing fields first: tpDevices = 0 would divide by zero below.
+    auto atLeast = [](const char *field, long long v, long long min) {
+        vassert(v >= min, "bad engine config: %s must be at least %lld, "
+                "got %lld", field, min, v);
+    };
+    atLeast("maxDecodeBatch", config.maxDecodeBatch, 1);
+    atLeast("tpDevices", config.tpDevices, 1);
+    atLeast("blockTokens", config.blockTokens, 1);
+    atLeast("maxModelLen", config.maxModelLen, 1);
+    atLeast("chunkedPrefillTokens", config.chunkedPrefillTokens, 0);
     servingCfg_.tpDevices = config.tpDevices;
     servingCfg_.attention = config.attention;
     servingCfg_.dt = config.dt;

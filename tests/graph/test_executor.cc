@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "graph/compiler.h"
 #include "graph/executor.h"
+#include "graph/replay_cache.h"
+#include "hw/mme.h"
+#include "obs/counters.h"
 
 namespace vespera::graph {
 namespace {
@@ -139,6 +143,74 @@ TEST(Executor, InputNodesAreFree)
     Executor exec(DeviceKind::A100);
     auto r = exec.run(g);
     EXPECT_DOUBLE_EQ(r.time, 0);
+}
+
+TEST(Executor, ReconfigsCountPerGraph)
+{
+    // Two GEMMs whose shapes select different MME geometries: the
+    // second reconfigures the array. The count belongs to the graph's
+    // own op sequence, so every run counts exactly one, whatever ran
+    // before it and whether the node memo misses or hits.
+    const hw::GemmShape square{8192, 8192, 8192};
+    const hw::GemmShape skinny{16384, 16384, 16};
+    const hw::MmeModel mme;
+    ASSERT_NE(mme.selectGeometry(square, DataType::BF16).label(),
+              mme.selectGeometry(skinny, DataType::BF16).label());
+
+    Graph g;
+    const int a = g.input({{square.m, square.k}, DataType::BF16}, "a");
+    const int b = g.input({{square.k, square.n}, DataType::BF16}, "b");
+    (void)g.matmul(a, b, "square");
+    const int c = g.input({{skinny.m, skinny.k}, DataType::BF16}, "c");
+    const int d = g.input({{skinny.k, skinny.n}, DataType::BF16}, "d");
+    (void)g.matmul(c, d, "skinny");
+
+    obs::Counter &reconfigs =
+        obs::CounterRegistry::instance().counter("mme.reconfigs");
+    Executor exec(DeviceKind::Gaudi2);
+    nodeReplayCache().clear();
+    for (int run = 0; run < 3; run++) {
+        const double before = reconfigs.value();
+        (void)exec.run(g);
+        EXPECT_EQ(reconfigs.value() - before, 1.0) << "run " << run;
+    }
+    {
+        ReplayCacheDisable off(nodeReplayCache());
+        const double before = reconfigs.value();
+        (void)exec.run(g);
+        EXPECT_EQ(reconfigs.value() - before, 1.0) << "uncached run";
+    }
+}
+
+TEST(Executor, RunIsEvaluateThenFold)
+{
+    // fold() is the only place run() charges: evaluating alone leaves
+    // every counter as it was, and folding the evaluated costs charges
+    // what run() charges.
+    Graph g = mlpGraph();
+    Executor exec(DeviceKind::Gaudi2);
+    auto &reg = obs::CounterRegistry::instance();
+    auto doc = [&reg] {
+        std::string d;
+        for (const auto &c : reg.snapshot())
+            if (c.name.rfind("replay.", 0) != 0)
+                d += strfmt("%s|%a|%llu\n", c.name.c_str(), c.value,
+                            static_cast<unsigned long long>(c.updates));
+        return d;
+    };
+
+    reg.reset();
+    (void)exec.run(g);
+    const std::string ran = doc();
+
+    reg.reset();
+    const ExecutionReport r = exec.evaluate(g);
+    const std::string evaluated = doc();
+    Executor::fold(r.perNode);
+    EXPECT_EQ(doc(), ran);
+
+    reg.reset();
+    EXPECT_EQ(evaluated, doc()) << "evaluate() charged a counter";
 }
 
 } // namespace

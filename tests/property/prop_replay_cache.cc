@@ -6,9 +6,11 @@
  * Three properties, each the load-bearing half of a cache bug class:
  *
  *  1. Transparency: for any random graph, the executor's report and
- *     its counter side effects are bitwise equal whether every node
- *     is evaluated fresh (cache off), costed for the first time
- *     (cache miss), or replayed (cache hit).
+ *     the counters its fold charges are bitwise equal whether every
+ *     node is evaluated fresh (cache off), costed for the first time
+ *     (cache miss), or served from the memo (cache hit). No warm-up
+ *     run is needed: the cost models are pure and `mme.reconfigs`
+ *     counts per graph, so no state carries over from run to run.
  *  2. Key injectivity: two nodes with different cost-relevant payloads
  *     never map to the same replay key (a collision would silently
  *     serve one kernel's cost for another); payload-equal nodes on the
@@ -117,15 +119,9 @@ TEST(ReplayCacheProperty, CacheOnOffAndHitRunsAreBitwiseEqual)
         const DeviceKind device =
             trial % 2 == 0 ? DeviceKind::Gaudi2 : DeviceKind::A100;
 
-        // Settle cross-run model state first: the MME geometry tracker
-        // charges a reconfiguration on the first visit to a new shape,
-        // so the three compared runs must all start from the same
-        // settled geometry (the same warm-up protocol as
-        // tests/serve/test_engine_equiv.cc).
         std::string off_doc;
         {
             ReplayCacheDisable off(nodeReplayCache());
-            (void)runDoc(g, device);
             off_doc = runDoc(g, device);
         }
         nodeReplayCache().clear();
@@ -133,9 +129,9 @@ TEST(ReplayCacheProperty, CacheOnOffAndHitRunsAreBitwiseEqual)
         const std::string hit_doc = runDoc(g, device);  // Replay.
 
         EXPECT_EQ(miss_doc, off_doc)
-            << "capturing a node's side effects changed them";
+            << "memoizing a node's cost changed what its run charged";
         EXPECT_EQ(hit_doc, off_doc)
-            << "replaying a cached node diverged from fresh evaluation";
+            << "a memo hit diverged from fresh evaluation";
     }
 }
 

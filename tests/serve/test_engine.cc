@@ -131,6 +131,42 @@ TEST_F(EngineTest, ModelTooLargePanics)
     EXPECT_DEATH(Engine(big, cfg), "does not fit");
 }
 
+// Each bad sizing field fails in the constructor, naming itself.
+TEST_F(EngineTest, RejectsZeroMaxDecodeBatch)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.maxDecodeBatch = 0;
+    EXPECT_DEATH(Engine(model_, cfg), "maxDecodeBatch .* got 0");
+}
+
+TEST_F(EngineTest, RejectsZeroTpDevices)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.tpDevices = 0;
+    EXPECT_DEATH(Engine(model_, cfg), "tpDevices .* got 0");
+}
+
+TEST_F(EngineTest, RejectsZeroBlockTokens)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.blockTokens = 0;
+    EXPECT_DEATH(Engine(model_, cfg), "blockTokens .* got 0");
+}
+
+TEST_F(EngineTest, RejectsZeroMaxModelLen)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.maxModelLen = 0;
+    EXPECT_DEATH(Engine(model_, cfg), "maxModelLen .* got 0");
+}
+
+TEST_F(EngineTest, RejectsNegativeChunkedPrefillTokens)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.chunkedPrefillTokens = -64;
+    EXPECT_DEATH(Engine(model_, cfg), "chunkedPrefillTokens .* got -64");
+}
+
 // Infeasible input fails up front instead of hanging: a 64 MiB pool
 // holds 512 tokens of Llama-3.1-8B KV (four 128-token blocks).
 TEST_F(EngineTest, RejectsPromptLargerThanKvPool)

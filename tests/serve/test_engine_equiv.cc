@@ -19,14 +19,11 @@
  *    across runs, so hit/miss splits depend on run order, not on the
  *    simulated schedule.
  *
- * Warm-up protocol (per scenario, before any compared run): one fully
- * executed run with the replay caches disabled settles cross-run model
- * state (the MME geometry tracker's reconfiguration counter depends on
- * the previous run's final geometry); the caches are then cleared and
- * one cache-enabled run recaptures every replay log *from that settled
- * state*. After that, cached replays and fresh executions are
- * byte-equivalent, so cache-on and cache-off runs at every thread
- * count compare against one reference document.
+ * Cache state (per scenario, before any compared run): both memos are
+ * cleared, so each scenario's reference run evaluates every step and
+ * node afresh and the later runs hit. No warm-up run is needed: the
+ * memos store pure values, and `mme.reconfigs` counts per graph, so
+ * no model state carries over from one run to the next.
  */
 
 #include <string>
@@ -272,21 +269,12 @@ class EngineEquivTest : public ::testing::Test
         return canonicalDoc(m);
     }
 
-    /** The warm-up protocol from the file comment. */
+    /** Empty both memos (see the file comment). */
     void
-    settleAndRecapture(const Scenario &s)
+    clearReplayCaches()
     {
-        runtime::Pool::setGlobalThreads(1);
-        {
-            graph::ReplayCacheDisable off_node(graph::nodeReplayCache());
-            graph::ReplayCacheDisable off_step(graph::stepReplayCache());
-            Engine engine(model_, s.cfg);
-            (void)engine.run(s.trace);
-        }
         graph::nodeReplayCache().clear();
         graph::stepReplayCache().clear();
-        Engine engine(model_, s.cfg);
-        (void)engine.run(s.trace);
     }
 
     models::LlamaModel model_;
@@ -296,7 +284,7 @@ TEST_F(EngineEquivTest, ByteIdenticalAtEveryThreadCount)
 {
     for (const Scenario &s : scenarios()) {
         SCOPED_TRACE(s.name);
-        settleAndRecapture(s);
+        clearReplayCaches();
 
         std::vector<EngineEvent> ref_events;
         const std::string reference = runOnce(s, 1, &ref_events);
@@ -336,7 +324,7 @@ TEST_F(EngineEquivTest, MatchesWithReplayCachesOff)
     // (cache-off) run must byte-match the cached reference.
     for (const Scenario &s : scenarios()) {
         SCOPED_TRACE(s.name);
-        settleAndRecapture(s);
+        clearReplayCaches();
         const std::string reference = runOnce(s, 1);
 
         graph::ReplayCacheDisable off_node(graph::nodeReplayCache());
