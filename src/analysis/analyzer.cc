@@ -638,6 +638,7 @@ analyzeProgram(const tpc::Program &program,
         tpc::IssueTrace trace;
         const tpc::PipelineResult pr =
             tpc::evaluatePipeline(program, options.params, &trace);
+        tpc::chargePipeline(pr);
         report.cycles = pr.cycles;
         report.measuredStallCycles = pr.stallCycles;
         for (const tpc::IssuedInstr &rec : trace.instrs) {

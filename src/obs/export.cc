@@ -138,6 +138,18 @@ chromeTraceJson(const Profiler &profiler)
     return out;
 }
 
+bool
+isHostTelemetry(std::string_view name)
+{
+    // `runtime.*` counters describe the simulator's own host-side
+    // execution (task counts, steals, worker busy time) and vary with
+    // --threads and scheduling. `replay.*` hit/miss/evict counts
+    // depend on thread count too (concurrent sweep points race to fill
+    // the cache) and on process history, while the values the cache
+    // serves are pure (graph/replay_cache.h).
+    return name.rfind("runtime.", 0) == 0 || name.rfind("replay.", 0) == 0;
+}
+
 std::string
 metricsJson(const CounterRegistry &registry, const MetricsMeta &meta)
 {
@@ -150,21 +162,7 @@ metricsJson(const CounterRegistry &registry, const MetricsMeta &meta)
     // scope -> (category -> seconds), parsed from `attrib.*` names.
     std::map<std::string, std::map<std::string, json::Value>> attrib;
     for (const CounterSnapshot &c : registry.snapshot()) {
-        // `runtime.*` counters describe the simulator's own host-side
-        // execution (task counts, steals, worker busy time) and vary
-        // with --threads and scheduling. The metrics document records
-        // what the *simulated device* did, and its determinism contract
-        // (docs/runtime.md) is byte-identity at any thread count, so
-        // host telemetry stays out; it still appears in the end-of-run
-        // counter summary and the Perfetto trace.
-        if (c.name.rfind("runtime.", 0) == 0)
-            continue;
-        // Likewise `replay.*`: the replay cache's hit/miss/evict
-        // counts depend on thread count (concurrent sweep points race
-        // to fill the cache) and on process history, while the values
-        // it serves are pure, which keeps the rest of this document
-        // bitwise cache-invariant (graph/replay_cache.h).
-        if (c.name.rfind("replay.", 0) == 0)
+        if (isHostTelemetry(c.name))
             continue;
         // Attribution counters ("attrib.<scope>.<category>") become
         // the structured v2 section instead of counter entries.
@@ -359,7 +357,7 @@ printCounterSummary(const CounterRegistry &registry, std::FILE *out)
     printHeading("Device counters", out);
     Table t({"Counter", "Value", "Peak", "Updates"});
     for (const CounterSnapshot &c : counters) {
-        if (c.updates == 0)
+        if (c.updates == 0 || isHostTelemetry(c.name))
             continue;
         t.addRow({c.name, Table::num(c.value, 3), Table::num(c.peak, 3),
                   Table::integer(static_cast<long long>(c.updates))});

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "obs/counters.h"
 #include "obs/profiler.h"
@@ -82,8 +83,18 @@ std::string metricsJson(const CounterRegistry &registry,
                         const MetricsMeta &meta);
 
 /**
- * Print the nonzero counters and all rate meters as an aligned table.
- * No-op when nothing was recorded.
+ * True for counters that describe the simulator's host-side execution
+ * rather than the simulated device: `runtime.*` (pool telemetry) and
+ * `replay.*` (replay-cache stats). Both vary with --threads and process
+ * history, so metrics documents and the "Device counters" summary
+ * table leave them out; the determinism contract (docs/runtime.md)
+ * covers everything else.
+ */
+bool isHostTelemetry(std::string_view name);
+
+/**
+ * Print the nonzero device counters (all but isHostTelemetry ones) and
+ * all rate meters as an aligned table. No-op when nothing was recorded.
  */
 void printCounterSummary(const CounterRegistry &registry,
                          std::FILE *out = stdout);

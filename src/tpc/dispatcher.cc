@@ -35,9 +35,9 @@ TpcDispatcher::TpcDispatcher(const hw::DeviceSpec &spec)
             "TpcDispatcher simulates the Gaudi TPC array");
 }
 
-LaunchResult
-TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
-                      const LaunchParams &params) const
+SlicePlan
+TpcDispatcher::planSlices(const IndexSpace &space,
+                          const LaunchParams &params) const
 {
     vassert(params.numTpcs >= 1 && params.numTpcs <= spec_.numVectorCores,
             "numTpcs %d out of range (1..%d)", params.numTpcs,
@@ -45,17 +45,52 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
     vassert(params.partitionDim >= 0 && params.partitionDim < 5,
             "bad partition dimension");
 
-    const std::int64_t extent = space.size[params.partitionDim];
+    const int dim = params.partitionDim;
+    const std::int64_t extent = space.size[dim];
     vassert(extent >= 1, "empty index space");
+    const std::int64_t per_tpc =
+        (extent + params.numTpcs - 1) / params.numTpcs;
+
+    SlicePlan plan;
+    plan.slices.resize(static_cast<std::size_t>(params.numTpcs));
+    plan.representative.resize(plan.slices.size());
+    auto length = [&](int t) {
+        const MemberRange &r = plan.slices[static_cast<std::size_t>(t)];
+        return r.end[dim] - r.start[dim];
+    };
+    for (int t = 0; t < params.numTpcs; t++) {
+        const auto i = static_cast<std::size_t>(t);
+        MemberRange &range = plan.slices[i];
+        for (int d = 0; d < 5; d++) {
+            range.start[d] = 0;
+            range.end[d] = space.size[d];
+        }
+        range.start[dim] = std::min<std::int64_t>(t * per_tpc, extent);
+        range.end[dim] = std::min<std::int64_t>((t + 1) * per_tpc, extent);
+
+        // Ceil-division slice lengths never grow with t (full ones,
+        // one tail, then empty ones), so equal lengths are adjacent:
+        // a TPC shares its predecessor's representative when their
+        // lengths match.
+        plan.representative[i] =
+            params.uniformSlices && t > 0 && length(t - 1) == length(t)
+                ? plan.representative[i - 1]
+                : t;
+    }
+    return plan;
+}
+
+LaunchResult
+TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
+                      const LaunchParams &params) const
+{
+    const SlicePlan plan = planSlices(space, params);
 
     LaunchResult result;
     Bytes stream_bus = 0;
     Bytes random_bus = 0;
     std::uint64_t random_accesses = 0;
     double chip_concurrency = 0;
-
-    const std::int64_t per_tpc =
-        (extent + params.numTpcs - 1) / params.numTpcs;
 
     // One TPC engine's slice: build the trace, time it.
     struct TpcOutcome
@@ -67,18 +102,6 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
     };
     auto simulateTpc = [&](int t) {
         TpcOutcome out;
-        MemberRange range;
-        for (int d = 0; d < 5; d++) {
-            range.start[d] = 0;
-            range.end[d] = space.size[d];
-        }
-        range.start[params.partitionDim] =
-            std::min<std::int64_t>(t * per_tpc, extent);
-        range.end[params.partitionDim] =
-            std::min<std::int64_t>((t + 1) * per_tpc, extent);
-        if (range.empty())
-            return out;
-
         // The trace is transient — recorded, evaluated, discarded —
         // so it bump-allocates from this thread's scratch arena. Not
         // when an observer is registered: the observer may copy the
@@ -90,7 +113,8 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
 
         Program program;
         program.setKernelName(params.kernelName);
-        TpcContext ctx(program, range, params.vectorBytes);
+        TpcContext ctx(program, plan.slices[static_cast<std::size_t>(t)],
+                       params.vectorBytes);
         {
             obs::SelfTimer self(obs::SelfCat::TraceRecord);
             kernel(ctx);
@@ -110,33 +134,36 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
         return out;
     };
 
-    // Each TPC simulates its grid slice on its own worker; the
+    // Each simulated TPC runs its grid slice on its own worker; the
     // reduction below runs in TPC order either way, so chip-level
-    // sums are bit-identical at any thread count (parallel_map replays
-    // per-TPC counter effects in index order — see runtime/parallel.h).
-    // The trace-observer path stays serial: observers are documented
-    // as unsynchronized and tooling (vespera-lint) does not need the
-    // parallel speedup.
-    std::vector<TpcOutcome> outcomes;
-    const bool parallel = runtime::Pool::global().threads() > 1 &&
-                          params.numTpcs > 1 && !traceObserver();
-    if (parallel) {
-        outcomes = runtime::parallel_map(
-            static_cast<std::size_t>(params.numTpcs),
-            [&](std::size_t t) {
-                return simulateTpc(static_cast<int>(t));
-            });
+    // sums are bit-identical at any thread count. The trace-observer
+    // path stays serial: observers are documented as unsynchronized
+    // and tooling (vespera-lint) does not need the parallel speedup.
+    std::vector<int> simulated;
+    for (int t = 0; t < params.numTpcs; t++)
+        if (plan.simulated(t))
+            simulated.push_back(t);
+    std::vector<TpcOutcome> outcomes(plan.slices.size());
+    auto simulateAt = [&](std::size_t k) {
+        outcomes[static_cast<std::size_t>(simulated[k])] =
+            simulateTpc(simulated[k]);
+    };
+    if (traceObserver()) {
+        for (std::size_t k = 0; k < simulated.size(); k++)
+            simulateAt(k);
     } else {
-        outcomes.reserve(static_cast<std::size_t>(params.numTpcs));
-        for (int t = 0; t < params.numTpcs; t++)
-            outcomes.push_back(simulateTpc(t));
+        runtime::parallel_for(simulated.size(), simulateAt);
     }
 
+    // A TPC that reuses a representative's outcome charges it again,
+    // so counters and sums match a launch that simulates every TPC.
     double busy_sum = 0;
-    for (const TpcOutcome &out : outcomes) {
+    for (const int rep : plan.representative) {
+        const TpcOutcome &out = outcomes[static_cast<std::size_t>(rep)];
         if (!out.active)
             continue;
         const PipelineResult &pr = out.pr;
+        chargePipeline(pr);
         busy_sum += pr.time;
         result.slowestTpcTime = std::max(result.slowestTpcTime, pr.time);
         result.totalFlops += pr.flops;

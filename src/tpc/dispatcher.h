@@ -14,6 +14,11 @@
  * are bit-identical at any thread count (docs/runtime.md). Kernels
  * must confine writes to their assigned index-space slice — which the
  * TPC programming model already requires on real hardware.
+ *
+ * A kernel whose trace depends only on its slice's length declares
+ * LaunchParams::uniformSlices; the launch then simulates one TPC per
+ * distinct slice length and every other TPC reuses that outcome
+ * (TpcDispatcher::planSlices names which TPCs run).
  */
 
 #ifndef VESPERA_TPC_DISPATCHER_H
@@ -21,6 +26,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "hw/device_spec.h"
 #include "mem/hbm.h"
@@ -61,6 +67,32 @@ struct LaunchParams
     /// Source-kernel tag stamped onto each TPC's Program so analyzer
     /// diagnostics name the offending kernel, not an instr index.
     std::string kernelName;
+    /// Kernel-declared contract: the kernel's trace, up to memory
+    /// offsets, depends only on the slice's length along
+    /// `partitionDim`. The launch then simulates only the first TPC of
+    /// each distinct slice length (planSlices), so the kernel's
+    /// functional effects land in those slices alone.
+    bool uniformSlices = false;
+};
+
+/** Which TPCs a launch simulates, and whose outcome each TPC takes. */
+struct SlicePlan
+{
+    /// Per TPC: its index-space slice (an empty range idles the TPC).
+    std::vector<MemberRange> slices;
+    /// Per TPC: the TPC whose simulated outcome it takes — itself
+    /// unless uniformSlices lets it reuse the first TPC with the same
+    /// slice length.
+    std::vector<int> representative;
+
+    /** True when TPC `t` is simulated: a non-empty slice that
+     *  represents itself. */
+    bool
+    simulated(int t) const
+    {
+        const auto i = static_cast<std::size_t>(t);
+        return representative[i] == t && !slices[i].empty();
+    }
 };
 
 /** Chip-level outcome of a kernel launch. */
@@ -79,12 +111,13 @@ struct LaunchResult
 };
 
 /**
- * Observer invoked with every per-TPC Program the dispatcher records,
- * before timing evaluation. Used by the static analyzer / vespera-lint
- * to capture kernel traces without changing kernel entry points. No
- * synchronization is provided: installing an observer forces the
- * dispatcher onto its serial per-TPC path even when the runtime pool
- * is parallel, so observers always see TPCs one at a time, in order.
+ * Observer invoked with every per-TPC Program the dispatcher records
+ * (simulated TPCs only, see SlicePlan), before timing evaluation. Used
+ * by the static analyzer / vespera-lint to capture kernel traces
+ * without changing kernel entry points. No synchronization is
+ * provided: installing an observer forces the dispatcher onto its
+ * serial per-TPC path even when the runtime pool is parallel, so
+ * observers always see TPCs one at a time, in order.
  */
 using TraceObserver = std::function<void(const Program &, int tpc_index)>;
 
@@ -116,6 +149,15 @@ class TpcDispatcher
     /** Run `kernel` over `space` with the given launch parameters. */
     LaunchResult launch(const Kernel &kernel, const IndexSpace &space,
                         const LaunchParams &params) const;
+
+    /**
+     * The per-TPC split `launch` uses: TPC t owns members
+     * [t * ceil(extent / numTpcs), ...) along `partitionDim`, clipped
+     * to the extent. Kernels declaring uniformSlices call it to learn
+     * which slices run, and so which data they need.
+     */
+    SlicePlan planSlices(const IndexSpace &space,
+                         const LaunchParams &params) const;
 
     const mem::HbmModel &hbm() const { return hbm_; }
     const hw::DeviceSpec &spec() const { return spec_; }

@@ -165,7 +165,12 @@ evaluatePipeline(const Program &program, const TpcParams &params,
         profiler.sample("tpc.stall_cycles", r.cycles / params.clock,
                         r.stallCycles);
     }
+    return r;
+}
 
+void
+chargePipeline(const PipelineResult &r)
+{
     auto &registry = obs::CounterRegistry::instance();
     static obs::Counter &instrs = registry.counter("tpc.instructions");
     static obs::Counter &cycles = registry.counter("tpc.cycles");
@@ -177,7 +182,6 @@ evaluatePipeline(const Program &program, const TpcParams &params,
     stalls.add(r.stallCycles);
     bus.add(static_cast<double>(r.busBytes));
     rand.add(static_cast<double>(r.randomAccesses));
-    return r;
 }
 
 } // namespace vespera::tpc

@@ -100,11 +100,20 @@ struct IssueTrace
 
 /**
  * Evaluate the trace under the timing model. When `trace` is non-null
- * it is filled with the per-instruction issue schedule.
+ * it is filled with the per-instruction issue schedule. Pure: no
+ * counter moves (while the Profiler traces, it still samples the
+ * `tpc.stall_cycles` track); the caller charges the result with
+ * chargePipeline.
  */
 PipelineResult evaluatePipeline(const Program &program,
                                 const TpcParams &params,
                                 IssueTrace *trace = nullptr);
+
+/**
+ * Add one evaluated trace to the `tpc.{instructions,cycles,
+ * stall_cycles,bus_bytes,random_accesses}` counters (one update each).
+ */
+void chargePipeline(const PipelineResult &result);
 
 /// @name Timing-rule hooks shared with the analyzers.
 /// Exactly the rules evaluatePipeline applies, exported so the trace

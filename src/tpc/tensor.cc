@@ -16,7 +16,7 @@ Tensor::Tensor(std::vector<std::int64_t> shape, DataType dt)
         strides_[d] = numElements_;
         numElements_ *= shape_[d];
     }
-    data_.assign(static_cast<std::size_t>(numElements_), 0.0f);
+    data_.resize(static_cast<std::size_t>(numElements_));
 }
 
 std::int64_t

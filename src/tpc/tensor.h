@@ -11,6 +11,10 @@
  * Dimension 0 is the fastest-varying (contiguous) dimension, matching
  * the TPC-C convention where the "depth" dimension determines memory
  * access granularity (Figure 3 of the paper).
+ *
+ * Storage comes zeroed from calloc, so a large tensor is backed by
+ * fresh anonymous pages: elements no kernel touches cost neither a
+ * zero-fill pass nor a page fault.
  */
 
 #ifndef VESPERA_TPC_TENSOR_H
@@ -19,6 +23,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -28,6 +35,55 @@ namespace vespera::tpc {
 
 /** Up-to-5-dimensional coordinate, matching TPC-C's int5. */
 using Int5 = std::array<std::int64_t, 5>;
+
+/**
+ * Allocator handing out calloc-zeroed storage. Value-initialisation
+ * (the element constructor called without arguments) is a no-op, since
+ * the memory is already zero; copies construct normally. That holds
+ * only for storage fresh from allocate(), so a vector using it must
+ * not shrink and then regrow in place (Tensor sizes it once).
+ */
+template <typename T>
+struct ZeroedAllocator
+{
+    using value_type = T;
+
+    ZeroedAllocator() = default;
+    template <typename U>
+    ZeroedAllocator(const ZeroedAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        if (void *p = std::calloc(n, sizeof(T)))
+            return static_cast<T *>(p);
+        throw std::bad_alloc();
+    }
+
+    void deallocate(T *p, std::size_t) noexcept { std::free(p); }
+
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    template <typename U>
+    bool
+    operator==(const ZeroedAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+};
 
 /** A tensor resident in simulated device global memory. */
 class Tensor
@@ -135,7 +191,7 @@ class Tensor
     std::vector<std::int64_t> strides_; ///< In elements; stride[0] == 1.
     std::int64_t numElements_;
     DataType dtype_;
-    std::vector<float> data_;
+    std::vector<float, ZeroedAllocator<float>> data_;
 };
 
 } // namespace vespera::tpc

@@ -136,6 +136,61 @@ TEST(Stream, CrossoverBetweenDevices)
     EXPECT_GT(a_comp.gflops, 2.5 * g_comp.gflops);
 }
 
+// A ragged size (65573 elements: 23 slices of 2733 and a 2714 tail,
+// neither a multiple of the 128-lane vector) returns, bit for bit, the
+// results that simulating and verifying every slice on fully filled
+// arrays gave.
+TEST(Stream, RaggedSizeMatchesReference)
+{
+    struct Ref
+    {
+        StreamOp op;
+        int numTpcs;
+        StreamResult want;
+    };
+    const Ref refs[] = {
+        {StreamOp::Add, 1,
+         {0x1.9ddef0874d51p-18, 0x1.008p+16, 0x1.54b742c4da702p+3,
+          0x1.fb7b151118ab8p-11, 0x1.a8e3c1a42dc5dp-6,
+          0x1.55ce9923ddd0fp-3}},
+        {StreamOp::Add, 24,
+         {0x1.19ed076e0f3d1p-18, 0x1.08p+16, 0x1.016670332bc6ap+4,
+          0x1.7f62c54730a1dp-10, 0x1.37df2c17a0d8bp-5,
+          0x1.5fcd275950177p-3}},
+        {StreamOp::Scale, 1,
+         {0x1.7391309910eb4p-18, 0x1.008p+16, 0x1.7b81d0852d943p+3,
+          0x1.1aa11867a651bp-10, 0x1.3b826f4dd06a7p-6,
+          0x1.005af2dae65cbp-2}},
+        {StreamOp::Scale, 24,
+         {0x1.156dd84d29c65p-18, 0x1.08p+16, 0x1.0592834cd5196p+4,
+          0x1.85999e83f0822p-10, 0x1.a691b34b1c6bap-6,
+          0x1.07d9dd82fc119p-2}},
+        {StreamOp::Triad, 1,
+         {0x1.9ddef0874d51p-18, 0x1.008p+17, 0x1.54b742c4da702p+4,
+          0x1.fb7b151118ab8p-10, 0x1.a8e3c1a42dc5dp-6,
+          0x1.55ce9923ddd0fp-2}},
+        {StreamOp::Triad, 24,
+         {0x1.19ed076e0f3d1p-18, 0x1.08p+17, 0x1.016670332bc6ap+5,
+          0x1.7f62c54730a1dp-9, 0x1.37df2c17a0d8bp-5,
+          0x1.5fcd275950177p-2}},
+    };
+    for (const Ref &ref : refs) {
+        StreamConfig c;
+        c.op = ref.op;
+        c.numElements = (1 << 16) + 37;
+        c.numTpcs = ref.numTpcs;
+        const StreamResult r = runStreamGaudi(c);
+        SCOPED_TRACE(testing::Message() << streamOpName(ref.op) << " x"
+                                        << ref.numTpcs);
+        EXPECT_EQ(r.time, ref.want.time);
+        EXPECT_EQ(r.flops, ref.want.flops);
+        EXPECT_EQ(r.gflops, ref.want.gflops);
+        EXPECT_EQ(r.vectorUtilization, ref.want.vectorUtilization);
+        EXPECT_EQ(r.hbmUtilization, ref.want.hbmUtilization);
+        EXPECT_EQ(r.operationalIntensity, ref.want.operationalIntensity);
+    }
+}
+
 // Config errors name the offending field and its value.
 TEST(StreamDeath, BadConfigNamesField)
 {

@@ -162,14 +162,14 @@ TEST(MetricsJson, GoldenFileRoundTrip)
     EXPECT_EQ(second.find("schema")->str(), metricsSchema);
 }
 
-TEST(CounterSummary, PrintsNonzeroCountersOnly)
+/// printCounterSummary's output for `reg`.
+std::string
+summaryText(const CounterRegistry &reg)
 {
-    CounterRegistry reg;
-    reg.counter("visible.count").add(3);
-    reg.counter("zero.count"); // Never updated; must be omitted.
-
     std::FILE *f = std::tmpfile();
-    ASSERT_NE(f, nullptr);
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr)
+        return {};
     printCounterSummary(reg, f);
     std::rewind(f);
     std::string text;
@@ -178,9 +178,40 @@ TEST(CounterSummary, PrintsNonzeroCountersOnly)
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         text.append(buf, n);
     std::fclose(f);
+    return text;
+}
+
+TEST(CounterSummary, PrintsNonzeroCountersOnly)
+{
+    CounterRegistry reg;
+    reg.counter("visible.count").add(3);
+    reg.counter("zero.count"); // Never updated; must be omitted.
+
+    const std::string text = summaryText(reg);
 
     EXPECT_NE(text.find("visible.count"), std::string::npos);
     EXPECT_EQ(text.find("zero.count"), std::string::npos);
+}
+
+// Host telemetry varies with --threads; the summary's device table
+// leaves it out through the same predicate the metrics document uses.
+TEST(CounterSummary, OmitsHostTelemetry)
+{
+    EXPECT_TRUE(isHostTelemetry("runtime.tasks"));
+    EXPECT_TRUE(isHostTelemetry("replay.step.hits"));
+    EXPECT_FALSE(isHostTelemetry("tpc.cycles"));
+    EXPECT_FALSE(isHostTelemetry("engine.replay.steps"));
+
+    CounterRegistry reg;
+    reg.counter("tpc.cycles").add(3);
+    reg.counter("runtime.tasks").add(5);
+    reg.counter("replay.step.hits").add(7);
+
+    const std::string text = summaryText(reg);
+
+    EXPECT_NE(text.find("tpc.cycles"), std::string::npos);
+    EXPECT_EQ(text.find("runtime.tasks"), std::string::npos);
+    EXPECT_EQ(text.find("replay.step.hits"), std::string::npos);
 }
 
 } // namespace

@@ -1,5 +1,13 @@
+#include <atomic>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "obs/counters.h"
+#include "obs/export.h"
+#include "runtime/pool.h"
 #include "tpc/dispatcher.h"
 
 namespace vespera::tpc {
@@ -153,6 +161,153 @@ TEST_F(DispatcherTest, RejectsBadConfig)
     EXPECT_DEATH(dispatcher_.launch(makeAddKernel(a_, b_, c_, depth_),
                                     space, params),
                  "numTpcs");
+}
+
+/** Every field of a launch result, bit for bit. */
+std::string
+resultDoc(const LaunchResult &r)
+{
+    return strfmt("%a|%a|%a|%a|%llu|%llu|%a|%a|%d|%llu", r.time,
+                  r.slowestTpcTime, r.memoryBoundTime, r.totalFlops,
+                  static_cast<unsigned long long>(r.usefulBytes),
+                  static_cast<unsigned long long>(r.busBytes),
+                  r.achievedFlopsPerSec, r.hbmUtilization, r.activeTpcs,
+                  static_cast<unsigned long long>(r.localMemHighWater));
+}
+
+/** Every device counter (attribution included), bit for bit. */
+std::string
+counterDoc()
+{
+    std::string doc;
+    for (const auto &c : obs::CounterRegistry::instance().snapshot())
+        if (!obs::isHostTelemetry(c.name))
+            doc += strfmt("%s|%a|%a|%llu\n", c.name.c_str(), c.value,
+                          c.peak,
+                          static_cast<unsigned long long>(c.updates));
+    return doc;
+}
+
+/** Restores the serial pool however a test exits. */
+struct PoolGuard
+{
+    ~PoolGuard() { runtime::Pool::setGlobalThreads(1); }
+};
+
+/** A launch over ragged extents and its distinct slice lengths. */
+struct RaggedCase
+{
+    std::int64_t width; ///< Index-space extent split across TPCs.
+    int numTpcs;
+    int distinctLengths; ///< Non-empty slice lengths.
+};
+
+// Divisible extents, a shorter tail (7 TPCs over 22: 4,4,4,4,4,2,0),
+// fewer members than TPCs, and 1, 7 and 24 TPCs.
+constexpr RaggedCase raggedCases[] = {
+    {5, 1, 1},  {48, 1, 1},  {21, 7, 1},  {22, 7, 2},
+    {5, 7, 1},  {48, 24, 1}, {50, 24, 2}, {5, 24, 1},
+};
+
+// A uniformSlices launch simulates one TPC per distinct slice length
+// and is indistinguishable from simulating them all: same result, same
+// counters (values, peaks, update counts) and same attribution charge,
+// serial or on the pool.
+TEST(DispatcherUniform, MatchesFullSimulation)
+{
+    PoolGuard guard;
+    constexpr std::int64_t depth = 1024;
+    const TpcDispatcher dispatcher;
+    for (const RaggedCase &rc : raggedCases) {
+        Tensor a({depth, rc.width}, DataType::FP32);
+        Tensor b({depth, rc.width}, DataType::FP32);
+        Tensor c({depth, rc.width}, DataType::FP32);
+        std::atomic<int> calls{0};
+        const Kernel add = makeAddKernel(a, b, c, depth, 3);
+        const Kernel counted = [&](TpcContext &ctx) {
+            calls++;
+            add(ctx);
+        };
+        IndexSpace space;
+        space.size = {1, rc.width, 1, 1, 1};
+
+        std::string want_result, want_counters;
+        for (int threads : {1, 4}) {
+            runtime::Pool::setGlobalThreads(threads);
+            for (bool uniform : {false, true}) {
+                SCOPED_TRACE(strfmt("width %lld, %d TPCs, %d threads, %s",
+                                    static_cast<long long>(rc.width),
+                                    rc.numTpcs, threads,
+                                    uniform ? "uniform" : "full"));
+                LaunchParams params;
+                params.numTpcs = rc.numTpcs;
+                params.kernelName = "ragged_add";
+                params.uniformSlices = uniform;
+                obs::CounterRegistry::instance().reset();
+                calls = 0;
+                const LaunchResult r = dispatcher.launch(counted, space,
+                                                         params);
+                const std::string counters = counterDoc();
+                EXPECT_NE(counters.find("attrib.tpc.compute"),
+                          std::string::npos);
+                if (want_result.empty()) {
+                    want_result = resultDoc(r);
+                    want_counters = counters;
+                }
+                EXPECT_EQ(resultDoc(r), want_result);
+                EXPECT_EQ(counters, want_counters);
+                EXPECT_EQ(calls.load(),
+                          uniform ? rc.distinctLengths : r.activeTpcs);
+            }
+        }
+    }
+}
+
+// The plan is the one place the rule lives: representatives are the
+// first TPC of each length, and only non-empty ones are simulated.
+TEST(DispatcherUniform, PlanPicksFirstTpcOfEachLength)
+{
+    const TpcDispatcher dispatcher;
+    IndexSpace space;
+    space.size = {1, 22, 1, 1, 1};
+    LaunchParams params;
+    params.numTpcs = 7;
+    params.uniformSlices = true;
+    const SlicePlan plan = dispatcher.planSlices(space, params);
+    EXPECT_EQ(plan.representative,
+              (std::vector<int>{0, 0, 0, 0, 0, 5, 6}));
+    std::vector<int> simulated;
+    for (int t = 0; t < params.numTpcs; t++)
+        if (plan.simulated(t))
+            simulated.push_back(t);
+    EXPECT_EQ(simulated, (std::vector<int>{0, 5}));
+    EXPECT_EQ(plan.slices[5].start[1], 20);
+    EXPECT_EQ(plan.slices[5].end[1], 22);
+    EXPECT_TRUE(plan.slices[6].empty());
+
+    params.uniformSlices = false;
+    const SlicePlan full = dispatcher.planSlices(space, params);
+    EXPECT_EQ(full.representative,
+              (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+// Observers see recorded slices only: the representatives, in order.
+TEST(DispatcherUniform, ObserverSeesRecordedSlicesOnly)
+{
+    constexpr std::int64_t depth = 256;
+    Tensor a({depth, 50}, DataType::FP32), b({depth, 50}, DataType::FP32);
+    Tensor c({depth, 50}, DataType::FP32);
+    std::vector<int> seen;
+    ScopedTraceObserver observer(
+        [&](const Program &, int t) { seen.push_back(t); });
+    IndexSpace space;
+    space.size = {1, 50, 1, 1, 1};
+    LaunchParams params;
+    params.uniformSlices = true;
+    const LaunchResult r = TpcDispatcher().launch(
+        makeAddKernel(a, b, c, depth), space, params);
+    EXPECT_EQ(seen, (std::vector<int>{0, 16}));
+    EXPECT_EQ(r.activeTpcs, 17);
 }
 
 } // namespace

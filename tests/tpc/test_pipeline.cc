@@ -1,5 +1,10 @@
+#include <map>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "obs/counters.h"
 #include "tpc/context.h"
 #include "tpc/pipeline.h"
 
@@ -190,6 +195,49 @@ TEST(Pipeline, LocalAccessesAvoidGlobalBus)
     }
     PipelineResult r = evaluatePipeline(p, TpcParams::forGaudi2());
     EXPECT_EQ(r.busBytes, 256u); // Only the initial global load.
+}
+
+/** name -> (value, updates) for every registered counter. */
+std::map<std::string, std::pair<double, std::uint64_t>>
+counterValues()
+{
+    std::map<std::string, std::pair<double, std::uint64_t>> out;
+    for (const auto &c : obs::CounterRegistry::instance().snapshot())
+        out[c.name] = {c.value, c.updates};
+    return out;
+}
+
+// evaluatePipeline is pure; chargePipeline is where a result reaches
+// the five tpc.* counters, with one update each.
+TEST(Pipeline, EvaluateIsPureAndChargeAddsTheResult)
+{
+    auto &registry = obs::CounterRegistry::instance();
+    const Program p = buildAddTrace(32, 4);
+    chargePipeline(PipelineResult{}); // Registers the counters.
+    const auto before = counterValues();
+    const PipelineResult r = evaluatePipeline(p, TpcParams::forGaudi2());
+    EXPECT_EQ(counterValues(), before);
+    ASSERT_GT(r.instructions, 0u);
+
+    chargePipeline(r);
+    auto after = counterValues();
+    const std::pair<const char *, double> charged[] = {
+        {"tpc.instructions", static_cast<double>(r.instructions)},
+        {"tpc.cycles", r.cycles},
+        {"tpc.stall_cycles", r.stallCycles},
+        {"tpc.bus_bytes", static_cast<double>(r.busBytes)},
+        {"tpc.random_accesses", static_cast<double>(r.randomAccesses)},
+    };
+    for (const auto &[name, amount] : charged) {
+        ASSERT_NE(registry.find(name), nullptr) << name;
+        const auto &[value, updates] = before.at(name);
+        EXPECT_EQ(after.at(name).first, value + amount) << name;
+        EXPECT_EQ(after.at(name).second, updates + 1) << name;
+        after.erase(name);
+    }
+    // Nothing else moved.
+    for (const auto &[name, state] : after)
+        EXPECT_EQ(state, before.at(name)) << name;
 }
 
 } // namespace

@@ -75,6 +75,31 @@ TEST(Tensor, ZeroInitialized)
         EXPECT_FLOAT_EQ(t.at(i), 0.0f);
 }
 
+// Storage is calloc-backed: a fresh tensor reads zero everywhere,
+// untouched pages included, and copies are deep.
+TEST(Tensor, FreshLargeTensorReadsZeroAndCopies)
+{
+    const std::int64_t n = (1 << 22) + 3;
+    Tensor t({n}, DataType::FP32);
+    for (const std::int64_t i : {std::int64_t{0}, n / 2, n - 1})
+        EXPECT_EQ(t.at(i), 0.0f) << i;
+
+    t.at(n / 2) = 4.5f;
+    Tensor copy = t;
+    EXPECT_EQ(copy.numElements(), n);
+    EXPECT_EQ(copy.at(n / 2), 4.5f);
+    EXPECT_EQ(copy.at(n - 1), 0.0f);
+    copy.at(std::int64_t{0}) = 1.0f;
+    EXPECT_EQ(t.at(std::int64_t{0}), 0.0f);
+
+    Tensor small({8}, DataType::FP32);
+    small.fill([](std::int64_t i) { return static_cast<float>(i + 1); });
+    const Tensor small_copy = small;
+    for (std::int64_t i = 0; i < 8; i++)
+        EXPECT_EQ(small_copy.at(i), small.at(i)) << i;
+    EXPECT_DEATH((void)small_copy.range(4, 5), "out of bounds");
+}
+
 TEST(TensorDeath, OutOfBounds)
 {
     Tensor t({4}, DataType::FP32);
