@@ -30,9 +30,6 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
     const auto num_accesses = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(c.accessFraction * num_vectors));
 
-    tpc::Tensor array({lanes, num_vectors}, c.dt);
-    array.fillRows(
-        [](std::int64_t row) { return static_cast<float>(row % 61); });
     // Index list, read by the kernel in 256 B chunks.
     tpc::Tensor indices({num_accesses}, DataType::FP32);
     std::vector<std::int64_t> idx(static_cast<std::size_t>(num_accesses));
@@ -42,6 +39,17 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
     indices.fill([&idx](std::int64_t i) {
         return static_cast<float>(idx[static_cast<std::size_t>(i)]);
     });
+
+    // Row r holds r % 61 in every lane. Only gathered rows are ever
+    // read (scatter only writes), so only they are filled; the zeroed
+    // storage of every other row is never touched.
+    tpc::Tensor array({lanes, num_vectors}, c.dt);
+    if (!c.scatter) {
+        for (const std::int64_t row : idx) {
+            float *p = array.range(row * lanes, lanes);
+            std::fill(p, p + lanes, static_cast<float>(row % 61));
+        }
+    }
 
     // Per-TPC accumulator output (one column per TPC).
     tpc::Tensor out({lanes, c.numTpcs}, DataType::FP32);

@@ -34,10 +34,12 @@ SideEffectLog::replay()
     for (SideEffectOp &op : ops) {
         switch (op.kind) {
           case SideEffectOp::Kind::CounterAdd:
-            static_cast<Counter *>(op.target)->add(op.a);
+            static_cast<Counter *>(op.target)->add(
+                op.a, static_cast<std::uint64_t>(op.b));
             break;
           case SideEffectOp::Kind::CounterSet:
-            static_cast<Counter *>(op.target)->set(op.a);
+            static_cast<Counter *>(op.target)->set(
+                op.a, static_cast<std::uint64_t>(op.b));
             break;
           case SideEffectOp::Kind::RateAdd:
             static_cast<RateMeter *>(op.target)->add(op.a, op.b);

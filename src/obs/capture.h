@@ -41,8 +41,8 @@ class RateMeter;
 struct SideEffectOp
 {
     enum class Kind : std::uint8_t {
-        CounterAdd, ///< Counter::add(a)
-        CounterSet, ///< Counter::set(a)
+        CounterAdd, ///< Counter::add(a, b): b is the update count
+        CounterSet, ///< Counter::set(a, b): b is the update count
         RateAdd,    ///< RateMeter::add(a, b)
         Deferred,   ///< fn() — an order-dependent decision (see below)
     };

@@ -31,26 +31,32 @@ atomicMax(std::atomic<double> &a, double v)
 } // namespace
 
 void
-Counter::add(double v)
+Counter::add(double v, std::uint64_t updates)
 {
+    if (updates == 0)
+        return;
     if (SideEffectLog *log = ScopedCapture::current()) {
-        log->append({SideEffectOp::Kind::CounterAdd, this, v, 0, {}});
+        log->append({SideEffectOp::Kind::CounterAdd, this, v,
+                     static_cast<double>(updates), {}});
         return;
     }
     atomicAdd(value_, v);
-    updates_.fetch_add(1, std::memory_order_relaxed);
+    updates_.fetch_add(updates, std::memory_order_relaxed);
     bumpPeak(value_.load(std::memory_order_relaxed));
 }
 
 void
-Counter::set(double v)
+Counter::set(double v, std::uint64_t updates)
 {
+    if (updates == 0)
+        return;
     if (SideEffectLog *log = ScopedCapture::current()) {
-        log->append({SideEffectOp::Kind::CounterSet, this, v, 0, {}});
+        log->append({SideEffectOp::Kind::CounterSet, this, v,
+                     static_cast<double>(updates), {}});
         return;
     }
     value_.store(v, std::memory_order_relaxed);
-    updates_.fetch_add(1, std::memory_order_relaxed);
+    updates_.fetch_add(updates, std::memory_order_relaxed);
     bumpPeak(v);
 }
 

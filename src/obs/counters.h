@@ -45,11 +45,19 @@ class Counter
   public:
     explicit Counter(std::string name) : name_(std::move(name)) {}
 
-    /** Accumulate `v` into the total (thread-safe). */
-    void add(double v = 1.0);
+    /**
+     * Accumulate `v` into the total (thread-safe), counted as
+     * `updates` updates: add(v, n) leaves the same value, peak and
+     * update count as n add() calls of non-negative amounts summing
+     * to `v`. n = 0 records nothing.
+     */
+    void add(double v = 1.0, std::uint64_t updates = 1);
 
-    /** Gauge write: replace the value, update the high-water mark. */
-    void set(double v);
+    /**
+     * Gauge write: replace the value, update the high-water mark.
+     * set(v, n) equals n set(v) calls; n = 0 records nothing.
+     */
+    void set(double v, std::uint64_t updates = 1);
 
     double value() const { return value_.load(std::memory_order_relaxed); }
 

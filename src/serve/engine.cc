@@ -375,14 +375,16 @@ void
 Engine::RunState::record(EngineEvent::Kind kind, Seconds start,
                          Seconds duration, int batch, int chunk)
 {
-    // Telemetry runs regardless of recordEvents: counters are cheap,
-    // and per-step counter tracks only when tracing.
-    c_steps.add();
-    c_prefill_tok.add(chunk);
-    c_decode_tok.add(batch);
+    // Telemetry runs regardless of recordEvents: the step tallies are
+    // published once, in finalize(); per-step counter tracks only when
+    // tracing.
+    steps++;
+    prefill_tokens += chunk;
+    decode_tokens += batch;
     const std::int64_t blocks_in_use =
         kv.totalBlocks() - kv.freeBlocks();
-    c_kv_in_use.set(static_cast<double>(blocks_in_use));
+    kv_last = blocks_in_use;
+    kv_max = std::max(kv_max, blocks_in_use);
     if (tl) {
         // Close windows the clock has passed, then charge this step's
         // scheduling to the window containing its start.
@@ -431,7 +433,7 @@ Engine::RunState::finishPrefill(std::size_t idx)
         delivered[idx] = r.generated;
         generated_total++;
     } else {
-        c_recomputed.add();
+        recomputed++;
     }
     if (requestFinished(r)) {
         r.finishTime = clock;
@@ -444,24 +446,54 @@ Engine::RunState::finishPrefill(std::size_t idx)
     }
 }
 
-void
-Engine::RunState::spfSort()
+std::size_t
+Engine::RunState::spfSlot(std::size_t idx, bool after_equal) const
 {
-    // Shortest-prompt-first: reorder the arrived prefix of the
-    // waiting queue by prompt length before admitting.
-    if (eng.config_.schedPolicy == SchedPolicy::ShortestPromptFirst &&
-        waiting.size() > 1) {
-        auto arrived_end = waiting.begin();
-        while (arrived_end != waiting.end() &&
-               trace[*arrived_end].arrival <= clock) {
-            ++arrived_end;
-        }
-        std::stable_sort(waiting.begin(), arrived_end,
-                         [&](std::size_t a, std::size_t b) {
-                             return trace[a].inputLen <
-                                    trace[b].inputLen;
-                         });
+    const auto first = waiting.begin();
+    const auto last = first + static_cast<std::ptrdiff_t>(spf_sorted);
+    const auto shorter = [this](std::size_t a, std::size_t b) {
+        return trace[a].inputLen < trace[b].inputLen;
+    };
+    const auto pos = after_equal
+                         ? std::upper_bound(first, last, idx, shorter)
+                         : std::lower_bound(first, last, idx, shorter);
+    return static_cast<std::size_t>(pos - first);
+}
+
+void
+Engine::RunState::spfAbsorbArrivals()
+{
+    // Shortest-prompt-first: move each newly arrived request into the
+    // sorted prefix after its equal keys, in arrival order, exactly
+    // where a stable_sort of the arrived prefix would put it.
+    if (eng.config_.schedPolicy != SchedPolicy::ShortestPromptFirst)
+        return;
+    while (spf_sorted < waiting.size() &&
+           trace[waiting[spf_sorted]].arrival <= clock) {
+        const std::size_t pos = spfSlot(waiting[spf_sorted], true);
+        const auto first = waiting.begin();
+        std::rotate(first + static_cast<std::ptrdiff_t>(pos),
+                    first + static_cast<std::ptrdiff_t>(spf_sorted),
+                    first + static_cast<std::ptrdiff_t>(spf_sorted + 1));
+        spf_sorted++;
     }
+}
+
+void
+Engine::RunState::requeue(std::size_t idx)
+{
+    // A preempted request goes back to the front: under SPF, the front
+    // of its equal keys, so a run of requeues lands last-requeued
+    // first, as a stable_sort of the pushed-front queue would order
+    // it. Offsets, not iterators: deque::insert invalidates them.
+    if (eng.config_.schedPolicy != SchedPolicy::ShortestPromptFirst) {
+        waiting.push_front(idx);
+        return;
+    }
+    const std::size_t pos = spfSlot(idx, false);
+    waiting.insert(waiting.begin() + static_cast<std::ptrdiff_t>(pos),
+                   idx);
+    spf_sorted++;
 }
 
 void
@@ -480,6 +512,8 @@ Engine::RunState::admitArrived()
         kv.grow(r.id, reserveTokens(r));
         prefill_queue.push_back(waiting.front());
         waiting.pop_front();
+        if (spf_sorted > 0)
+            spf_sorted--;
     }
 }
 
@@ -533,11 +567,10 @@ Engine::RunState::preemptScan()
             r.generated = 0;
             r.prefilled = false;
             r.prefillProgress = 0;
-            waiting.push_front(running[k]);
+            requeue(running[k]);
             running.erase(running.begin() +
                           static_cast<std::ptrdiff_t>(k));
             m.preemptions++;
-            c_preempt.add();
             if (tl)
                 tl->add(g_preempt, 1);
         }
@@ -618,7 +651,7 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
                 delivered[running[k]] = r.generated;
                 generated_total++;
             } else {
-                c_recomputed.add();
+                recomputed++;
             }
             if (requestFinished(r)) {
                 r.finishTime = clock;
@@ -644,7 +677,7 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
 void
 Engine::RunState::fullIteration()
 {
-    spfSort();
+    spfAbsorbArrivals();
     admitArrived();
 
     const bool chunked = eng.config_.chunkedPrefillTokens > 0;
@@ -684,6 +717,20 @@ Engine::RunState::finalize()
     m.avgDecodeBatch =
         decode_steps ? batch_sum / static_cast<double>(decode_steps)
                      : 0;
+
+    // Step telemetry, published once: each add/set carries the number
+    // of per-step updates it stands for, so value, peak and update
+    // count equal per-step publication (integer sums are exact).
+    c_steps.add(static_cast<double>(steps), steps);
+    c_prefill_tok.add(static_cast<double>(prefill_tokens), steps);
+    c_decode_tok.add(static_cast<double>(decode_tokens), steps);
+    c_preempt.add(m.preemptions,
+                  static_cast<std::uint64_t>(m.preemptions));
+    c_recomputed.add(static_cast<double>(recomputed), recomputed);
+    if (steps > 0) {
+        c_kv_in_use.set(static_cast<double>(kv_max), steps - 1);
+        c_kv_in_use.set(static_cast<double>(kv_last), 1);
+    }
 
     // End-of-run serving gauges (last run wins; peak keeps the best).
     auto &registry = obs::CounterRegistry::instance();

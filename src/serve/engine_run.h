@@ -9,7 +9,8 @@
  * Phase order of one iteration (fullIteration()) — this order is
  * load-bearing:
  *
- *   1. spfSort()               reorder arrived waiting prefix
+ *   1. spfAbsorbArrivals()     SPF: sort new arrivals into the
+ *                              arrived waiting prefix
  *   2. admitArrived()          waiting -> prefill_queue, KV permitting
  *   3. monolithicPrefillStep() when !chunked and queue nonempty (then
  *                              the iteration ends)
@@ -21,6 +22,16 @@
  *
  * `has_chunk` is latched BEFORE preemptScan() (step 5 never touches
  * prefill_queue, so the latch is stable).
+ *
+ * SPF ordering invariant: under SchedPolicy::ShortestPromptFirst the
+ * first `spf_sorted` entries of `waiting` are every arrived request,
+ * in the order a stable_sort by prompt length of the pushed-front,
+ * arrival-ordered queue would give. New arrivals go after equal keys
+ * (upper_bound), preempted requests before them (lower_bound), so an
+ * iteration with no arrival and no preemption does no ordering work.
+ *
+ * Step telemetry (engine.* and kv.blocks_in_use) is tallied here and
+ * published once, by finalize(), with the per-step update counts.
  *
  * This header is internal to src/serve; public consumers use
  * serve/engine.h.
@@ -51,7 +62,7 @@ struct Engine::RunState
 
     /// @name Scheduler phases (see file comment for the order).
     /// @{
-    void spfSort();
+    void spfAbsorbArrivals();
     void admitArrived();
     void monolithicPrefillStep();
     void idleJump();
@@ -76,6 +87,11 @@ struct Engine::RunState
                 int batch, int chunk);
     /** First token materializes (TTFT once, recompute-aware). */
     void finishPrefill(std::size_t idx);
+    /** Offset in the SPF-sorted prefix for request `idx`: after its
+        equal keys when `after_equal`, else before them. */
+    std::size_t spfSlot(std::size_t idx, bool after_equal) const;
+    /** Return a preempted request to the front of `waiting`. */
+    void requeue(std::size_t idx);
     /// @}
 
     /// @name Request-lifecycle flow tracing (profiler runs only).
@@ -111,6 +127,8 @@ struct Engine::RunState
     PagedKvCache kv;
 
     std::deque<std::size_t> waiting;
+    /// SPF only: length of the sorted arrived prefix of `waiting`.
+    std::size_t spf_sorted = 0;
     std::deque<std::size_t> prefill_queue;
     std::vector<std::size_t> running;
 
@@ -125,6 +143,16 @@ struct Engine::RunState
     /// Tokens already delivered per request (recompute must not count
     /// twice toward throughput or TTFT).
     std::vector<int> delivered;
+
+    /// @name Step tallies, published by finalize().
+    /// @{
+    std::uint64_t steps = 0;
+    std::int64_t prefill_tokens = 0;
+    std::int64_t decode_tokens = 0;
+    std::uint64_t recomputed = 0;
+    std::int64_t kv_last = 0; ///< kv.blocks_in_use at the last step.
+    std::int64_t kv_max = 0;  ///< Its largest per-step value.
+    /// @}
 
     obs::Counter &c_steps;
     obs::Counter &c_prefill_tok;

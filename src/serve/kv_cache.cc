@@ -30,9 +30,14 @@ PagedKvCache::canGrow(std::int64_t seq_id, std::int64_t want_tokens) const
 bool
 PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
 {
-    const std::int64_t have = held_.count(seq_id) ? held_[seq_id] : 0;
+    // One lookup; the common decode-step case (the sequence still fits
+    // its blocks) returns before touching the counter registry.
+    auto it = held_.find(seq_id);
+    const std::int64_t have = it == held_.end() ? 0 : it->second;
     const std::int64_t want = blocksFor(tokens);
     const std::int64_t need = want - have;
+    if (need <= 0)
+        return true;
     auto &registry = obs::CounterRegistry::instance();
     if (need > freeBlocks_) {
         static obs::Counter &failures =
@@ -40,17 +45,16 @@ PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
         failures.add();
         return false;
     }
-    if (need > 0) {
-        freeBlocks_ -= need;
-        held_[seq_id] = want;
-        static obs::Counter &grown =
-            registry.counter("kv.blocks_allocated");
-        static obs::Counter &high =
-            registry.counter("kv.blocks_high_water");
-        grown.add(static_cast<double>(need));
-        // Gauge: peak() is the pool-wide high-water mark.
-        high.set(static_cast<double>(totalBlocks_ - freeBlocks_));
-    }
+    freeBlocks_ -= need;
+    if (it == held_.end())
+        held_.emplace(seq_id, want);
+    else
+        it->second = want;
+    static obs::Counter &grown = registry.counter("kv.blocks_allocated");
+    static obs::Counter &high = registry.counter("kv.blocks_high_water");
+    grown.add(static_cast<double>(need));
+    // Gauge: peak() is the pool-wide high-water mark.
+    high.set(static_cast<double>(totalBlocks_ - freeBlocks_));
     return true;
 }
 

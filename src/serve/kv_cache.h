@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 
 #include "common/types.h"
 
@@ -56,7 +57,8 @@ class PagedKvCache
     std::int64_t totalBlocks_;
     int blockTokens_;
     std::int64_t freeBlocks_;
-    std::map<std::int64_t, std::int64_t> held_; ///< seq -> blocks.
+    /// seq -> blocks.
+    std::unordered_map<std::int64_t, std::int64_t> held_;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "kern/gather_scatter.h"
 
 namespace vespera::kern {
@@ -99,6 +100,49 @@ TEST(GatherScatter, DeeperUnrollHelps)
     c.unroll = 16;
     auto u16 = runGatherScatterGaudi(c, rng);
     EXPECT_LT(u16.time, u1.time);
+}
+
+// Gather and scatter at a small size, with repeated indices (fraction
+// 1 draws with replacement) and a ragged TPC split, against the bits
+// printed when every row of the array was filled. The gather run also
+// passes its own functional check of the gathered rows.
+TEST(Gather, SmallMatchesReference)
+{
+    struct Case
+    {
+        bool scatter;
+        Bytes vectorBytes;
+        double fraction;
+        int numTpcs;
+        const char *expected;
+    };
+    const Case cases[] = {
+        {false, 256, 1.0, 24,
+         "0x1.3e1bbf9f5194cp-18 768000 0x1.0dc4ab78a01e7p-4"},
+        {false, 64, 0.3, 7,
+         "0x1.433a86bc8437ap-18 57600 0x1.3e98069013221p-8"},
+        {false, 2048, 0.05, 24,
+         "0x1.1cade8c9df96fp-18 307200 0x1.e2506b3787065p-6"},
+        {true, 256, 1.0, 24,
+         "0x1.383d8e899ef5p-18 768000 0x1.12d686fee14fep-4"},
+        {true, 64, 0.3, 7,
+         "0x1.1a076152d6754p-18 57600 0x1.6d229bd1a3199p-8"},
+        {true, 2048, 0.05, 24,
+         "0x1.1b60378ae5d84p-18 307200 0x1.e4885f87ebf3fp-6"},
+    };
+    Rng rng(9);
+    for (const Case &k : cases) {
+        GatherScatterConfig c = smallConfig(k.vectorBytes);
+        c.numVectors = 3000;
+        c.scatter = k.scatter;
+        c.accessFraction = k.fraction;
+        c.numTpcs = k.numTpcs;
+        const GatherScatterResult r = runGatherScatterGaudi(c, rng);
+        EXPECT_EQ(strfmt("%a %llu %a", r.time,
+                         static_cast<unsigned long long>(r.usefulBytes),
+                         r.hbmUtilization),
+                  k.expected);
+    }
 }
 
 // Config errors name the offending field and its value.

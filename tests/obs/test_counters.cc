@@ -3,6 +3,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/capture.h"
 #include "obs/counters.h"
 
 namespace vespera::obs {
@@ -38,6 +39,83 @@ TEST(Counter, ResetZeroesEverything)
     EXPECT_DOUBLE_EQ(c.value(), 0.0);
     EXPECT_DOUBLE_EQ(c.peak(), 0.0);
     EXPECT_EQ(c.updates(), 0u);
+}
+
+/** value, peak and update count, for whole-state comparisons. */
+std::vector<double>
+state(const Counter &c)
+{
+    return {c.value(), c.peak(), static_cast<double>(c.updates())};
+}
+
+// add(v, n) and set(v, n) stand for n single calls: the same value,
+// peak and update count, whatever counter state they start from.
+TEST(Counter, BatchedUpdatesEqualSingleCalls)
+{
+    Counter single("single"), batched("batched");
+    for (Counter *c : {&single, &batched}) {
+        c->set(50);
+        c->set(20);
+    }
+    for (double v : {3.0, 0.0, 5.0, 1.0})
+        single.add(v);
+    batched.add(9, 4);
+    EXPECT_EQ(state(batched), state(single));
+
+    // A gauge series published as set(max, n-1) then set(last, 1).
+    for (double v : {40.0, 70.0, 65.0, 30.0})
+        single.set(v);
+    batched.set(70, 3);
+    batched.set(30, 1);
+    EXPECT_EQ(state(batched), state(single));
+    EXPECT_EQ(batched.peak(), 70.0);
+
+    // n = 0 records nothing, not even a peak.
+    batched.set(1000, 0);
+    batched.add(1000, 0);
+    EXPECT_EQ(state(batched), state(single));
+}
+
+TEST(Counter, DefaultCountIsOneUpdate)
+{
+    Counter c("d");
+    c.add(2);
+    c.set(1);
+    EXPECT_EQ(c.updates(), 2u);
+    EXPECT_EQ(c.value(), 1.0);
+    EXPECT_EQ(c.peak(), 2.0);
+}
+
+// The update count rides the capture op, so a replayed batch, nested
+// or not, lands exactly like a live one.
+TEST(Counter, BatchedUpdatesReplayThroughNestedCaptures)
+{
+    Counter live("live"), replayed("replayed");
+    auto publish = [](Counter &c) {
+        c.add(12, 3);
+        c.set(4, 2);
+        c.add(6, 0);
+        c.set(9, 1);
+    };
+    publish(live);
+
+    SideEffectLog outer;
+    {
+        ScopedCapture outer_capture(outer);
+        SideEffectLog inner;
+        {
+            ScopedCapture inner_capture(inner);
+            publish(replayed);
+        }
+        inner.replay(); // Lands in the outer log, counts intact.
+        EXPECT_EQ(replayed.updates(), 0u);
+    }
+    EXPECT_EQ(replayed.updates(), 0u);
+    outer.replay();
+    EXPECT_EQ(state(replayed), state(live));
+    EXPECT_EQ(live.updates(), 6u);
+    EXPECT_EQ(live.peak(), 12.0);
+    EXPECT_EQ(live.value(), 9.0);
 }
 
 TEST(Counter, ConcurrentAddLosesNothing)
