@@ -10,13 +10,18 @@ SimtModel::SimtModel(const hw::DeviceSpec &spec)
     : spec_(spec), hbm_(spec)
 {
     vassert(spec.kind == DeviceKind::A100,
-            "SimtModel models the A100 only");
+            "DeviceSpec.kind must be A100 (SimtModel models the A100 "
+            "only), got %s", deviceName(spec.kind));
 }
 
 CoalescingInfo
 SimtModel::coalescing(const WarpAccessPattern &p) const
 {
-    vassert(p.elementBytes > 0 && p.warpSize > 0, "bad warp pattern");
+    vassert(p.elementBytes > 0,
+            "WarpAccessPattern.elementBytes must be > 0, got %llu",
+            static_cast<unsigned long long>(p.elementBytes));
+    vassert(p.warpSize > 0, "WarpAccessPattern.warpSize must be > 0, got %d",
+            p.warpSize);
     const Bytes sector = spec_.minAccessGranularity;
     // Count the distinct sectors the warp touches (lanes access
     // monotonically increasing addresses).
@@ -45,7 +50,9 @@ KernelCost
 SimtModel::stridedSweep(const WarpAccessPattern &pattern,
                         std::uint64_t num_elements) const
 {
-    vassert(num_elements > 0, "empty sweep");
+    vassert(num_elements > 0,
+            "stridedSweep num_elements must be > 0, got %llu",
+            static_cast<unsigned long long>(num_elements));
     const CoalescingInfo info = coalescing(pattern);
     const double useful =
         static_cast<double>(pattern.elementBytes) * num_elements;
@@ -61,9 +68,15 @@ SimtModel::stridedSweep(const WarpAccessPattern &pattern,
 KernelCost
 SimtModel::streamKernel(const StreamKernelDesc &desc, DataType dt) const
 {
-    vassert(desc.numElements > 0, "empty stream kernel");
-    vassert(desc.bytesPerElement >= 0 && desc.flopsPerElement >= 0,
-            "negative stream-kernel intensity");
+    vassert(desc.numElements > 0,
+            "StreamKernelDesc.numElements must be > 0, got %llu",
+            static_cast<unsigned long long>(desc.numElements));
+    vassert(desc.bytesPerElement >= 0,
+            "StreamKernelDesc.bytesPerElement must be >= 0, got %g",
+            desc.bytesPerElement);
+    vassert(desc.flopsPerElement >= 0,
+            "StreamKernelDesc.flopsPerElement must be >= 0, got %g",
+            desc.flopsPerElement);
 
     const double bytes =
         desc.bytesPerElement * static_cast<double>(desc.numElements);
@@ -89,9 +102,15 @@ KernelCost
 SimtModel::gatherScatter(Bytes access_size, std::uint64_t num_accesses,
                          bool write, double occupancy_warps) const
 {
-    vassert(access_size > 0 && num_accesses > 0,
-            "empty gather/scatter");
-    vassert(occupancy_warps > 0, "gather/scatter needs occupancy");
+    vassert(access_size > 0,
+            "gatherScatter access_size must be > 0, got %llu",
+            static_cast<unsigned long long>(access_size));
+    vassert(num_accesses > 0,
+            "gatherScatter num_accesses must be > 0, got %llu",
+            static_cast<unsigned long long>(num_accesses));
+    vassert(occupancy_warps > 0,
+            "gatherScatter occupancy_warps must be > 0, got %g",
+            occupancy_warps);
     mem::RandomAccessWorkload w;
     w.accessSize = access_size;
     w.numAccesses = num_accesses;

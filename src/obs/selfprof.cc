@@ -75,13 +75,6 @@ SelfLedger::settle(std::uint64_t windowNs)
             windowNs - categorized;
 }
 
-SelfProf &
-SelfProf::instance()
-{
-    static SelfProf prof;
-    return prof;
-}
-
 void
 SelfProf::setEnabled(bool on)
 {

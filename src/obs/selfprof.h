@@ -129,7 +129,15 @@ struct SelfSnapshot
 class SelfProf
 {
   public:
-    static SelfProf &instance();
+    /// Inline, so a hot path's disabled check (instance().enabled())
+    /// is two loads and no call: Program::append makes it once per
+    /// recorded instruction.
+    static SelfProf &
+    instance()
+    {
+        static SelfProf prof;
+        return prof;
+    }
 
     SelfProf() = default;
     SelfProf(const SelfProf &) = delete;

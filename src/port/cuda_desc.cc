@@ -1,45 +1,10 @@
 #include "port/cuda_desc.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/logging.h"
 
 namespace vespera::port {
-
-std::int64_t
-evalAddr(const AddrExpr &a, const LaneCtx &c, const float *regs)
-{
-    std::int64_t v = a.base + a.cTid * c.tid + a.cLane * c.lane +
-                     a.cWarp * c.warp + a.cBlock * c.block +
-                     a.cBlockX * c.blockX + a.cBlockY * c.blockY +
-                     a.cGlobal * c.globalTid + a.cIter * c.iter +
-                     a.cPow2Iter * (std::int64_t{1} << c.iter);
-    if (a.indexReg >= 0)
-        v += static_cast<std::int64_t>(regs[a.indexReg]);
-    return v;
-}
-
-bool
-evalPred(const Pred &p, const LaneCtx &c, const float *regs)
-{
-    if (!p.active)
-        return true;
-    double lhs, rhs;
-    if (p.onRegs) {
-        lhs = regs[p.lhsReg];
-        rhs = regs[p.rhsReg];
-    } else {
-        lhs = static_cast<double>(evalAddr(p.lhs, c, regs));
-        rhs = static_cast<double>(evalAddr(p.rhs, c, regs));
-    }
-    switch (p.op) {
-      case CmpOp::Lt: return lhs < rhs;
-      case CmpOp::Ge: return lhs >= rhs;
-      case CmpOp::Eq: return lhs == rhs;
-      case CmpOp::Ne: return lhs != rhs;
-    }
-    return false;
-}
 
 const char *
 cudaOpName(CudaOp op)
@@ -69,6 +34,26 @@ cudaOpName(CudaOp op)
     return "?";
 }
 
+namespace {
+
+/// BufferInit::Wave's hash multiplier.
+constexpr std::uint64_t waveMul = 0x9e3779b97f4a7c15ull;
+
+/// BufferInit::Wave from the hash product i * waveMul: a deterministic
+/// fold into [-scale, scale]; avoids libm so reference and lowered
+/// paths agree bit-for-bit.
+float
+waveValue(std::uint64_t product, double scale)
+{
+    // The fold is below 2048, so the int32 hop is exact (and converts
+    // faster than an unsigned 64-bit value).
+    const auto h = static_cast<std::int32_t>((product >> 33) % 2048);
+    const double unit = static_cast<double>(h) / 1024.0 - 1.0;
+    return static_cast<float>(unit * scale);
+}
+
+} // namespace
+
 float
 bufferInitValue(const BufferDesc &buf, std::int64_t i)
 {
@@ -78,21 +63,52 @@ bufferInitValue(const BufferDesc &buf, std::int64_t i)
       case BufferInit::Linear:
         return static_cast<float>(((i * 37 + 11) % 113) * 0.01 *
                                   buf.initScale);
-      case BufferInit::Wave: {
-        // Deterministic hash fold into [-scale, scale]; avoids libm so
-        // reference and lowered paths agree bit-for-bit.
-        const std::uint64_t h =
-            (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ull) >> 33;
-        const double unit =
-            static_cast<double>(h % 2048) / 1024.0 - 1.0;
-        return static_cast<float>(unit * buf.initScale);
-      }
+      case BufferInit::Wave:
+        return waveValue(static_cast<std::uint64_t>(i) * waveMul,
+                         buf.initScale);
       case BufferInit::Mod:
         return static_cast<float>(i % buf.initMod);
       case BufferInit::Indices:
         return static_cast<float>((i * 73 + 5) % buf.initMod);
     }
     return 0.0f;
+}
+
+void
+fillBufferInit(const BufferDesc &buf, float *out)
+{
+    const std::int64_t n = buf.elems;
+    // Linear, Mod and Indices depend only on i modulo a period: write
+    // one period, then copy it forward.
+    std::int64_t period = n;
+    switch (buf.init) {
+      case BufferInit::Zero:
+        return;
+      case BufferInit::Wave: {
+        // Step the hash product instead of multiplying per element.
+        std::uint64_t product = 0;
+        for (std::int64_t i = 0; i < n; i++, product += waveMul)
+            out[i] = waveValue(product, buf.initScale);
+        return;
+      }
+      case BufferInit::Linear:
+        period = 113;
+        break;
+      case BufferInit::Mod:
+      case BufferInit::Indices:
+        period = buf.initMod;
+        break;
+    }
+    period = std::min(period, n);
+    for (std::int64_t i = 0; i < period; i++)
+        out[i] = bufferInitValue(buf, i);
+    // Each copy doubles the filled prefix, which stays a whole number
+    // of periods.
+    for (std::int64_t done = period; done < n;) {
+        const std::int64_t chunk = std::min(done, n - done);
+        std::copy_n(out, chunk, out + done);
+        done += chunk;
+    }
 }
 
 namespace {

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace vespera::port {
 
 /** CUDA warp width; also the lane width of one lowered strip. */
@@ -81,9 +83,75 @@ struct LaneCtx
     std::int64_t iter = 0;
 };
 
-/** Evaluate `addr` for one thread (`regs` = its register file). */
-std::int64_t evalAddr(const AddrExpr &addr, const LaneCtx &ctx,
-                      const float *regs);
+/**
+ * Evaluate `a` for one thread (`regs` = its register file). The
+ * executors evaluate whole sweeps of threads with AddrWalk below.
+ */
+inline std::int64_t
+evalAddr(const AddrExpr &a, const LaneCtx &c, const float *regs)
+{
+    std::int64_t v = a.base + a.cTid * c.tid + a.cLane * c.lane +
+                     a.cWarp * c.warp + a.cBlock * c.block +
+                     a.cBlockX * c.blockX + a.cBlockY * c.blockY +
+                     a.cGlobal * c.globalTid + a.cIter * c.iter +
+                     a.cPow2Iter * (std::int64_t{1} << c.iter);
+    if (a.indexReg >= 0)
+        v += static_cast<std::int64_t>(regs[a.indexReg]);
+    return v;
+}
+
+/**
+ * `a` evaluated along consecutive threads of one block, from `first`
+ * on: the thread-invariant terms are summed once, and each step to the
+ * next tid adds the affine increment (lane and warp carry at the warp
+ * boundary). Equal to evalAddr at every thread; both executors sweep
+ * threads in ascending tid, so a memory op costs one add per thread.
+ */
+class AddrWalk
+{
+  public:
+    AddrWalk(const AddrExpr &a, const LaneCtx &first)
+        : lane_(first.lane), indexReg_(a.indexReg),
+          step_(a.cTid + a.cGlobal + a.cLane),
+          warpStep_(a.cTid + a.cGlobal + a.cWarp -
+                    (warpSize - 1) * a.cLane)
+    {
+        AddrExpr affine = a;
+        affine.indexReg = -1;
+        value_ = evalAddr(affine, first, nullptr);
+    }
+
+    /// The current thread's address (`regs` = its register file).
+    std::int64_t
+    at(const float *regs) const
+    {
+        return indexReg_ < 0
+                   ? value_
+                   : value_ + static_cast<std::int64_t>(regs[indexReg_]);
+    }
+
+    /// The current thread's address without the index register.
+    std::int64_t affine() const { return value_; }
+
+    /// Advance to the next tid.
+    void
+    next()
+    {
+        if (++lane_ == warpSize) {
+            lane_ = 0;
+            value_ += warpStep_;
+        } else {
+            value_ += step_;
+        }
+    }
+
+  private:
+    std::int64_t value_ = 0;
+    std::int64_t lane_;
+    std::int32_t indexReg_;
+    std::int64_t step_;
+    std::int64_t warpStep_;
+};
 
 /** Predicate comparison operator. */
 enum class CmpOp : std::uint8_t {
@@ -108,8 +176,30 @@ struct Pred
     std::int32_t lhsReg = -1, rhsReg = -1;  ///< Register form.
 };
 
-/** Evaluate `pred` for one thread (true = thread executes the op). */
-bool evalPred(const Pred &pred, const LaneCtx &ctx, const float *regs);
+/** Compare two predicate operands under `op`. */
+inline bool
+evalCmp(CmpOp op, double lhs, double rhs)
+{
+    switch (op) {
+      case CmpOp::Lt: return lhs < rhs;
+      case CmpOp::Ge: return lhs >= rhs;
+      case CmpOp::Eq: return lhs == rhs;
+      case CmpOp::Ne: return lhs != rhs;
+    }
+    return false;
+}
+
+/** Evaluate `p` for one thread (true = thread executes the op). */
+inline bool
+evalPred(const Pred &p, const LaneCtx &c, const float *regs)
+{
+    if (!p.active)
+        return true;
+    if (p.onRegs)
+        return evalCmp(p.op, regs[p.lhsReg], regs[p.rhsReg]);
+    return evalCmp(p.op, static_cast<double>(evalAddr(p.lhs, c, regs)),
+                   static_cast<double>(evalAddr(p.rhs, c, regs)));
+}
 
 /** The op vocabulary. */
 enum class CudaOp : std::uint8_t {
@@ -206,6 +296,14 @@ struct BufferDesc
 /** Deterministic init value for element `i` of `buf`. */
 float bufferInitValue(const BufferDesc &buf, std::int64_t i);
 
+/**
+ * Write bufferInitValue(buf, i) to out[i] for every element, choosing
+ * the pattern once per buffer rather than once per element. `out`
+ * must arrive zeroed (a value-initialised vector or a calloc-backed
+ * tpc::Tensor): a Zero buffer is left untouched.
+ */
+void fillBufferInit(const BufferDesc &buf, float *out);
+
 /** The kernel description. */
 struct CudaKernelDesc
 {
@@ -229,6 +327,35 @@ struct CudaKernelDesc
         return gridBlocks * blockThreads;
     }
 };
+
+/**
+ * Panic unless `idx` lies inside global buffer `i.buf`. Both executors
+ * check every active thread's (lane's) access, so a bad address dies
+ * naming the kernel, the op and the buffer.
+ */
+inline void
+checkGlobalIndex(const CudaKernelDesc &desc, const CudaInstr &i,
+                 std::int64_t idx)
+{
+    const BufferDesc &buf = desc.buffers[static_cast<std::size_t>(i.buf)];
+    vassert(idx >= 0 && idx < buf.elems,
+            "%s: %s address %lld out of buffer '%s' [0, %lld)",
+            desc.name.c_str(), cudaOpName(i.op),
+            static_cast<long long>(idx), buf.name.c_str(),
+            static_cast<long long>(buf.elems));
+}
+
+/** Panic unless `idx` lies inside the block's shared memory. */
+inline void
+checkSharedIndex(const CudaKernelDesc &desc, const CudaInstr &i,
+                 std::int64_t idx)
+{
+    vassert(idx >= 0 && idx < desc.sharedElems,
+            "%s: %s address %lld out of shared memory [0, %lld)",
+            desc.name.c_str(), cudaOpName(i.op),
+            static_cast<long long>(idx),
+            static_cast<long long>(desc.sharedElems));
+}
 
 /**
  * Panics (vassert) on malformed descs: degenerate geometry (zero

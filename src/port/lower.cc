@@ -87,24 +87,27 @@ splitUnits(const CudaKernelDesc &desc)
     return units;
 }
 
-/** Lowers one thread block onto the TPC context. */
+/**
+ * Lowers thread blocks onto one TPC's context. One instance serves
+ * every block of a TPC slice; run() resets the per-block state, so
+ * each block lowers exactly as if on a fresh instance. Lane work is
+ * per strip, into reused member buffers.
+ */
 class BlockLowerer
 {
   public:
     BlockLowerer(const CudaKernelDesc &desc, const LowerOptions &opts,
-                 tpc::TpcContext &ctx, std::vector<tpc::Tensor> &tensors,
-                 std::int64_t block)
+                 tpc::TpcContext &ctx, std::vector<tpc::Tensor> &tensors)
         : desc_(desc), opts_(opts), ctx_(ctx), tensors_(tensors),
-          block_(block),
           stripWidth_(warpSize * opts.warpsPerStrip),
           numStrips_(static_cast<int>(
               (desc.blockThreads + stripWidth_ - 1) / stripWidth_)),
           scratchBase_(desc.sharedElems),
-          regs_(static_cast<std::size_t>(numStrips_))
+          regs_(static_cast<std::size_t>(numStrips_) *
+                static_cast<std::size_t>(desc.numRegs)),
+          addrs_(static_cast<std::size_t>(stripWidth_)),
+          act_(static_cast<std::size_t>(stripWidth_))
     {
-        for (auto &r : regs_)
-            r.assign(static_cast<std::size_t>(desc.numRegs),
-                     tpc::Vec{});
         vassert((scratchBase_ + stripWidth_) * 4 <=
                 static_cast<std::int64_t>(opts.localMemoryBytes),
                 "%s: shared memory (%lld elems) leaves no room for "
@@ -113,8 +116,15 @@ class BlockLowerer
     }
 
     void
-    run(const std::vector<Unit> &units)
+    run(const std::vector<Unit> &units, std::int64_t block)
     {
+        block_ = block;
+        for (tpc::Vec &r : regs_)
+            r.id = -1;
+        splats_.clear();
+        iotas_.clear();
+        masks_.clear();
+
         zeroShared();
         for (const Unit &u : units) {
             if (!u.isSyncLoop) {
@@ -139,12 +149,13 @@ class BlockLowerer
             stripWidth_, desc_.blockThreads - base));
     }
 
+    /// Context of lane 0 of `strip` (strips start on a warp boundary).
     LaneCtx
-    laneCtx(int strip, int lane, std::int64_t iter) const
+    stripCtx(int strip, std::int64_t iter) const
     {
         LaneCtx c;
-        c.tid = static_cast<std::int64_t>(strip) * stripWidth_ + lane;
-        c.lane = c.tid % warpSize;
+        c.tid = static_cast<std::int64_t>(strip) * stripWidth_;
+        c.lane = 0;
         c.warp = c.tid / warpSize;
         c.block = block_;
         c.blockX = block_ % desc_.gridX;
@@ -160,8 +171,7 @@ class BlockLowerer
     const tpc::Vec &
     getReg(int strip, std::int32_t r)
     {
-        tpc::Vec &v = regs_[static_cast<std::size_t>(strip)]
-                           [static_cast<std::size_t>(r)];
+        tpc::Vec &v = reg(strip, r);
         if (v.id < 0) {
             ctx_.setOpLabel("port:reg-init");
             v = ctx_.v_zero(stripLanes(strip));
@@ -172,35 +182,40 @@ class BlockLowerer
     void
     setReg(int strip, std::int32_t r, tpc::Vec v)
     {
-        regs_[static_cast<std::size_t>(strip)]
-             [static_cast<std::size_t>(r)] = std::move(v);
+        reg(strip, r) = std::move(v);
     }
 
-    tpc::Vec
+    tpc::Vec &
+    reg(int strip, std::int32_t r)
+    {
+        return regs_[static_cast<std::size_t>(strip) *
+                         static_cast<std::size_t>(desc_.numRegs) +
+                     static_cast<std::size_t>(r)];
+    }
+
+    const tpc::Vec &
     splat(float value, int lanes)
     {
         std::int32_t bits;
         std::memcpy(&bits, &value, sizeof(bits));
         const auto key = std::make_pair(bits, lanes);
         auto it = splats_.find(key);
-        if (it != splats_.end())
-            return it->second;
-        ctx_.setOpLabel("port:alu");
-        tpc::Vec v = ctx_.v_splat(value, lanes);
-        splats_.emplace(key, v);
-        return v;
+        if (it == splats_.end()) {
+            ctx_.setOpLabel("port:alu");
+            it = splats_.emplace(key, ctx_.v_splat(value, lanes)).first;
+        }
+        return it->second;
     }
 
-    tpc::Vec
+    const tpc::Vec &
     iota(int lanes)
     {
         auto it = iotas_.find(lanes);
-        if (it != iotas_.end())
-            return it->second;
-        ctx_.setOpLabel("port:pred-mask");
-        tpc::Vec v = ctx_.v_iota(lanes);
-        iotas_.emplace(lanes, v);
-        return v;
+        if (it == iotas_.end()) {
+            ctx_.setOpLabel("port:pred-mask");
+            it = iotas_.emplace(lanes, ctx_.v_iota(lanes)).first;
+        }
+        return it->second;
     }
 
     void
@@ -212,88 +227,122 @@ class BlockLowerer
              off += stripWidth_) {
             const int lanes = static_cast<int>(std::min<std::int64_t>(
                 stripWidth_, desc_.sharedElems - off));
-            const tpc::Vec z = splat(0.0f, lanes);
+            const tpc::Vec &z = splat(0.0f, lanes);
             ctx_.setOpLabel("port:shared-init");
             ctx_.v_st_local(off, z);
         }
     }
 
-    /// Per-lane addresses of a memory op for one strip.
-    std::vector<std::int64_t>
+    /// Per-lane addresses of a memory op for one strip, into addrs_.
+    void
     addrsFor(const CudaInstr &i, int strip, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        std::vector<std::int64_t> addrs(
-            static_cast<std::size_t>(lanes));
-        const tpc::Vec *idx = nullptr;
+        const float *idx = nullptr;
         if (i.addr.indexReg >= 0)
-            idx = &getReg(strip, i.addr.indexReg);
-        for (int l = 0; l < lanes; l++) {
-            const LaneCtx c = laneCtx(strip, l, iter);
-            AddrExpr a = i.addr;
-            a.indexReg = -1;
-            std::int64_t v = evalAddr(a, c, nullptr);
+            idx = getReg(strip, i.addr.indexReg).lanes.data();
+        AddrWalk a(i.addr, stripCtx(strip, iter));
+        for (int l = 0; l < lanes; l++, a.next()) {
+            std::int64_t v = a.affine();
             if (idx != nullptr)
-                v += static_cast<std::int64_t>(
-                    idx->lanes[static_cast<std::size_t>(l)]);
-            addrs[static_cast<std::size_t>(l)] = v;
+                v += static_cast<std::int64_t>(idx[l]);
+            addrs_[static_cast<std::size_t>(l)] = v;
         }
-        return addrs;
     }
 
-    /// Per-lane predicate activity for one strip.
-    std::vector<char>
+    /// Per-lane predicate activity for one strip, into act_; returns
+    /// the number of active lanes. An inactive predicate returns
+    /// "all lanes" at once and leaves act_ unread.
+    int
     activeFor(const Pred &p, int strip, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        std::vector<char> act(static_cast<std::size_t>(lanes), 1);
         if (!p.active)
-            return act;
-        const tpc::Vec *lhs = nullptr, *rhs = nullptr;
+            return lanes;
+        int on = 0;
         if (p.onRegs) {
-            lhs = &getReg(strip, p.lhsReg);
-            rhs = &getReg(strip, p.rhsReg);
-        }
-        for (int l = 0; l < lanes; l++) {
-            const LaneCtx c = laneCtx(strip, l, iter);
-            bool on;
-            if (p.onRegs) {
-                float vals[2] = {
-                    lhs->lanes[static_cast<std::size_t>(l)],
-                    rhs->lanes[static_cast<std::size_t>(l)]};
-                Pred q = p;
-                q.lhsReg = 0;
-                q.rhsReg = 1;
-                on = evalPred(q, c, vals);
-            } else {
-                on = evalPred(p, c, nullptr);
+            const float *lhs = getReg(strip, p.lhsReg).lanes.data();
+            const float *rhs = getReg(strip, p.rhsReg).lanes.data();
+            for (int l = 0; l < lanes; l++) {
+                const bool a = evalCmp(p.op, lhs[l], rhs[l]);
+                act_[static_cast<std::size_t>(l)] = a;
+                on += a;
             }
-            act[static_cast<std::size_t>(l)] = on ? 1 : 0;
+            return on;
         }
-        return act;
+        vassert(!p.lhs.dataDependent() && !p.rhs.dataDependent(),
+                "%s: address-form predicate with an index register "
+                "cannot be lowered to a mask", desc_.name.c_str());
+        AddrWalk lhs(p.lhs, stripCtx(strip, iter));
+        AddrWalk rhs(p.rhs, stripCtx(strip, iter));
+        for (int l = 0; l < lanes; l++, lhs.next(), rhs.next()) {
+            const bool a =
+                evalCmp(p.op, static_cast<double>(lhs.affine()),
+                        static_cast<double>(rhs.affine()));
+            act_[static_cast<std::size_t>(l)] = a;
+            on += a;
+        }
+        return on;
     }
 
-    static bool
-    allOf(const std::vector<char> &v)
+    /// Whether lane `l` executes, given activeFor()'s verdict.
+    bool
+    laneOn(int l, bool full) const
     {
-        return std::all_of(v.begin(), v.end(),
-                           [](char c) { return c != 0; });
+        return full || act_[static_cast<std::size_t>(l)];
     }
-    static bool
-    anyOf(const std::vector<char> &v)
+
+    /**
+     * Check every active lane's address, as the reference interpreter
+     * checks every active thread's: a bad address dies naming the
+     * kernel, the op and the buffer, whichever executor runs it.
+     */
+    void
+    checkAddrs(const CudaInstr &i, int lanes, bool full) const
     {
-        return std::any_of(v.begin(), v.end(),
-                           [](char c) { return c != 0; });
+        const bool global =
+            i.op == CudaOp::LoadGlobal || i.op == CudaOp::StoreGlobal;
+        for (int l = 0; l < lanes; l++) {
+            if (!laneOn(l, full))
+                continue;
+            const std::int64_t a = addrs_[static_cast<std::size_t>(l)];
+            if (global)
+                checkGlobalIndex(desc_, i, a);
+            else
+                checkSharedIndex(desc_, i, a);
+        }
+    }
+
+    /// Whether addrs_[0, lanes) is addrs_[0] + l.
+    bool
+    contiguousAddrs(const CudaInstr &i, int lanes) const
+    {
+        if (i.addr.dataDependent())
+            return false;
+        for (int l = 1; l < lanes; l++)
+            if (addrs_[static_cast<std::size_t>(l)] != addrs_[0] + l)
+                return false;
+        return true;
+    }
+
+    /// Whether every lane of addrs_[0, lanes) is addrs_[0].
+    bool
+    uniformAddrs(int lanes) const
+    {
+        for (int l = 1; l < lanes; l++)
+            if (addrs_[static_cast<std::size_t>(l)] != addrs_[0])
+                return false;
+        return true;
     }
 
     /// Affine vector value a0 + l*d over the strip's lanes.
     tpc::Vec
     affineVec(std::int64_t a0, std::int64_t d, int lanes)
     {
-        const tpc::Vec base = splat(static_cast<float>(a0), lanes);
+        const tpc::Vec &base = splat(static_cast<float>(a0), lanes);
         if (d == 0)
             return base;
-        const tpc::Vec io = iota(lanes);
+        const tpc::Vec &io = iota(lanes);
         ctx_.setOpLabel("port:pred-mask");
         return ctx_.v_mac_s(io, static_cast<float>(d), base);
     }
@@ -304,15 +353,15 @@ class BlockLowerer
     affineOf(const AddrExpr &e, int strip, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        const LaneCtx c0 = laneCtx(strip, 0, iter);
-        const std::int64_t a0 = evalAddr(e, c0, nullptr);
+        AddrWalk w(e, stripCtx(strip, iter));
+        const std::int64_t a0 = w.affine();
         if (lanes == 1)
             return {a0, 0};
-        const LaneCtx c1 = laneCtx(strip, 1, iter);
-        const std::int64_t d = evalAddr(e, c1, nullptr) - a0;
+        w.next();
+        const std::int64_t d = w.affine() - a0;
         for (int l = 2; l < lanes; l++) {
-            const LaneCtx cl = laneCtx(strip, l, iter);
-            vassert(evalAddr(e, cl, nullptr) == a0 + l * d,
+            w.next();
+            vassert(w.affine() == a0 + l * d,
                     "%s: predicate not affine in lane",
                     desc_.name.c_str());
         }
@@ -324,25 +373,21 @@ class BlockLowerer
     maskFor(const Pred &p, int strip, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        tpc::Vec lhs, rhs;
         if (p.onRegs) {
-            lhs = getReg(strip, p.lhsReg);
-            rhs = getReg(strip, p.rhsReg);
-        } else {
-            const auto [a0, d0] = affineOf(p.lhs, strip, iter);
-            const auto [a1, d1] = affineOf(p.rhs, strip, iter);
-            const MaskKey key{strip, a0, d0, a1, d1,
-                              static_cast<int>(p.op)};
-            auto it = masks_.find(key);
-            if (it != masks_.end())
-                return it->second;
-            lhs = affineVec(a0, d0, lanes);
-            rhs = affineVec(a1, d1, lanes);
-            tpc::Vec m = cmpVec(p.op, lhs, rhs, lanes);
-            masks_.emplace(key, m);
-            return m;
+            const tpc::Vec &lhs = getReg(strip, p.lhsReg);
+            const tpc::Vec &rhs = getReg(strip, p.rhsReg);
+            return cmpVec(p.op, lhs, rhs, lanes);
         }
-        return cmpVec(p.op, lhs, rhs, lanes);
+        const auto [a0, d0] = affineOf(p.lhs, strip, iter);
+        const auto [a1, d1] = affineOf(p.rhs, strip, iter);
+        const MaskKey key{strip, a0, d0, a1, d1, static_cast<int>(p.op)};
+        auto it = masks_.find(key);
+        if (it == masks_.end()) {
+            const tpc::Vec lhs = affineVec(a0, d0, lanes);
+            const tpc::Vec rhs = affineVec(a1, d1, lanes);
+            it = masks_.emplace(key, cmpVec(p.op, lhs, rhs, lanes)).first;
+        }
+        return it->second;
     }
 
     tpc::Vec
@@ -360,7 +405,7 @@ class BlockLowerer
             ctx_.setOpLabel("port:pred-mask");
             return ctx_.v_cmp_eq(lhs, rhs);
           case CmpOp::Ne: {
-            const tpc::Vec one = splat(1.0f, lanes);
+            const tpc::Vec &one = splat(1.0f, lanes);
             ctx_.setOpLabel("port:pred-mask");
             const tpc::Vec eq = ctx_.v_cmp_eq(lhs, rhs);
             return ctx_.v_sub(one, eq);
@@ -372,9 +417,9 @@ class BlockLowerer
     /// Blend `fresh` over the destination's prior value under `pred`.
     tpc::Vec
     blend(const CudaInstr &i, int strip, std::int64_t iter,
-          tpc::Vec fresh)
+          const tpc::Vec &fresh)
     {
-        const tpc::Vec old = getReg(strip, i.dst);
+        const tpc::Vec &old = getReg(strip, i.dst);
         const tpc::Vec m = maskFor(i.pred, strip, iter);
         ctx_.setOpLabel("port:pred-blend");
         return ctx_.v_sel(m, fresh, old);
@@ -435,7 +480,7 @@ class BlockLowerer
             vassert(opts_.warpsPerStrip == 1,
                     "%s: warp reduction requires warpsPerStrip=1",
                     desc_.name.c_str());
-            const tpc::Vec src = getReg(strip, i.src0);
+            const tpc::Vec &src = getReg(strip, i.src0);
             ctx_.setOpLabel("port:warp-reduce");
             const tpc::Vec r = i.op == CudaOp::WarpReduceSum
                                    ? ctx_.v_reduce_add(src)
@@ -453,10 +498,10 @@ class BlockLowerer
     alu(int strip, const CudaInstr &i, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        const std::vector<char> act = activeFor(i.pred, strip, iter);
-        if (!anyOf(act))
+        const int on = activeFor(i.pred, strip, iter);
+        if (on == 0)
             return;
-        const bool full = allOf(act);
+        const bool full = on == lanes;
 
         // Fetch operand vectors before setting the ALU label: lazy
         // register init / cached splats emit under their own labels.
@@ -466,18 +511,16 @@ class BlockLowerer
         } else if (i.op == CudaOp::Mov) {
             v = getReg(strip, i.src0); // Register rename: no instr.
         } else {
-            const tpc::Vec a = getReg(strip, i.src0);
-            tpc::Vec b, c, immv;
+            const tpc::Vec &a = getReg(strip, i.src0);
             const bool binary =
                 i.op == CudaOp::Add || i.op == CudaOp::Sub ||
                 i.op == CudaOp::Mul || i.op == CudaOp::Max ||
                 i.op == CudaOp::Fma;
-            if (binary)
-                b = getReg(strip, i.src1);
-            if (i.op == CudaOp::Fma)
-                c = getReg(strip, i.src2);
-            if (i.op == CudaOp::AddImm)
-                immv = splat(i.imm, lanes);
+            const tpc::Vec &b = binary ? getReg(strip, i.src1) : a;
+            const tpc::Vec &c =
+                i.op == CudaOp::Fma ? getReg(strip, i.src2) : a;
+            const tpc::Vec &immv =
+                i.op == CudaOp::AddImm ? splat(i.imm, lanes) : a;
 
             ctx_.setOpLabel("port:alu");
             switch (i.op) {
@@ -496,7 +539,7 @@ class BlockLowerer
             }
         }
         if (!full)
-            v = blend(i, strip, iter, std::move(v));
+            v = blend(i, strip, iter, v);
         setReg(strip, i.dst, std::move(v));
     }
 
@@ -505,34 +548,28 @@ class BlockLowerer
     {
         const int lanes = stripLanes(strip);
         tpc::Tensor &t = tensors_[static_cast<std::size_t>(i.buf)];
-        const std::vector<std::int64_t> addrs = addrsFor(i, strip, iter);
-        const std::vector<char> act = activeFor(i.pred, strip, iter);
-        if (!anyOf(act))
+        addrsFor(i, strip, iter);
+        const int on = activeFor(i.pred, strip, iter);
+        if (on == 0)
             return;
-        const bool full = allOf(act);
-
-        const bool uniform = std::all_of(
-            addrs.begin(), addrs.end(),
-            [&](std::int64_t a) { return a == addrs[0]; });
-        bool contiguous = !i.addr.dataDependent();
-        for (std::size_t l = 1; contiguous && l < addrs.size(); l++)
-            contiguous = addrs[l] == addrs[0] + static_cast<std::int64_t>(l);
+        const bool full = on == lanes;
+        checkAddrs(i, lanes, full);
 
         tpc::Vec v;
-        if (uniform && !i.addr.dataDependent()) {
+        if (!i.addr.dataDependent() && uniformAddrs(lanes)) {
             ctx_.setOpLabel("port:ld-uniform");
             const tpc::Vec lv =
-                ctx_.v_ld_tnsr({addrs[0], 0, 0, 0, 0}, t, 4,
+                ctx_.v_ld_tnsr({addrs_[0], 0, 0, 0, 0}, t, 4,
                                tpc::Access::Stream);
             v = ctx_.v_broadcast(lv, lanes);
-        } else if (contiguous) {
-            vassert(addrs[0] >= 0,
+        } else if (contiguousAddrs(i, lanes)) {
+            vassert(addrs_[0] >= 0,
                     "%s: contiguous load underruns buffer '%s' "
                     "(allocate halo padding)", desc_.name.c_str(),
                     desc_.buffers[static_cast<std::size_t>(i.buf)]
                         .name.c_str());
             ctx_.setOpLabel("port:ld-warp");
-            v = ctx_.v_ld_tnsr({addrs[0], 0, 0, 0, 0}, t,
+            v = ctx_.v_ld_tnsr({addrs_[0], 0, 0, 0, 0}, t,
                                static_cast<Bytes>(lanes) * 4,
                                tpc::Access::Stream);
         } else {
@@ -541,26 +578,23 @@ class BlockLowerer
             const tpc::Access acc = i.addr.dataDependent()
                                         ? tpc::Access::Random
                                         : tpc::Access::Stream;
-            tpc::Vec old;
-            if (!full)
-                old = getReg(strip, i.dst);
+            const tpc::Vec *old = full ? nullptr : &getReg(strip, i.dst);
             ctx_.setOpLabel("port:ld-shatter");
-            if (!full)
-                ctx_.v_st_local(scratchBase_, old);
+            if (old != nullptr)
+                ctx_.v_st_local(scratchBase_, *old);
             for (int l = 0; l < lanes; l++) {
-                if (!act[static_cast<std::size_t>(l)])
+                if (!laneOn(l, full))
                     continue;
                 const tpc::Vec lv = ctx_.v_ld_tnsr(
-                    {addrs[static_cast<std::size_t>(l)], 0, 0, 0, 0},
+                    {addrs_[static_cast<std::size_t>(l)], 0, 0, 0, 0},
                     t, 4, acc);
                 ctx_.v_st_local(scratchBase_ + l, lv);
             }
-            v = ctx_.v_ld_local(scratchBase_, lanes);
-            setReg(strip, i.dst, std::move(v));
+            setReg(strip, i.dst, ctx_.v_ld_local(scratchBase_, lanes));
             return; // Inactive lanes already carry the old value.
         }
         if (!full)
-            v = blend(i, strip, iter, std::move(v));
+            v = blend(i, strip, iter, v);
         setReg(strip, i.dst, std::move(v));
     }
 
@@ -569,35 +603,32 @@ class BlockLowerer
     {
         const int lanes = stripLanes(strip);
         tpc::Tensor &t = tensors_[static_cast<std::size_t>(i.buf)];
-        const std::vector<std::int64_t> addrs = addrsFor(i, strip, iter);
-        const std::vector<char> act = activeFor(i.pred, strip, iter);
-        if (!anyOf(act))
+        addrsFor(i, strip, iter);
+        const int on = activeFor(i.pred, strip, iter);
+        if (on == 0)
             return;
-        const bool full = allOf(act);
-        const tpc::Vec src = getReg(strip, i.src0);
+        const bool full = on == lanes;
+        checkAddrs(i, lanes, full);
+        const tpc::Vec &src = getReg(strip, i.src0);
 
-        bool contiguous = !i.addr.dataDependent();
-        for (std::size_t l = 1; contiguous && l < addrs.size(); l++)
-            contiguous = addrs[l] == addrs[0] + static_cast<std::int64_t>(l);
-
-        if (contiguous && addrs[0] >= 0) {
+        if (contiguousAddrs(i, lanes) && addrs_[0] >= 0) {
             if (full) {
                 ctx_.setOpLabel("port:st-warp");
-                ctx_.v_st_tnsr({addrs[0], 0, 0, 0, 0}, t, src);
+                ctx_.v_st_tnsr({addrs_[0], 0, 0, 0, 0}, t, src);
                 return;
             }
             // Predicated store: TPC has no write masks — emulate with
             // a read-modify-write blend (extra read traffic).
             ctx_.setOpLabel("port:pred-blend");
             const tpc::Vec old =
-                ctx_.v_ld_tnsr({addrs[0], 0, 0, 0, 0}, t,
+                ctx_.v_ld_tnsr({addrs_[0], 0, 0, 0, 0}, t,
                                static_cast<Bytes>(lanes) * 4,
                                tpc::Access::Stream);
             const tpc::Vec m = maskFor(i.pred, strip, iter);
             ctx_.setOpLabel("port:pred-blend");
             const tpc::Vec merged = ctx_.v_sel(m, src, old);
             ctx_.setOpLabel("port:st-warp");
-            ctx_.v_st_tnsr({addrs[0], 0, 0, 0, 0}, t, merged);
+            ctx_.v_st_tnsr({addrs_[0], 0, 0, 0, 0}, t, merged);
             return;
         }
 
@@ -607,11 +638,11 @@ class BlockLowerer
         ctx_.setOpLabel("port:st-shatter");
         ctx_.v_st_local(scratchBase_, src);
         for (int l = 0; l < lanes; l++) {
-            if (!act[static_cast<std::size_t>(l)])
+            if (!laneOn(l, full))
                 continue;
             const tpc::Vec lv = ctx_.v_ld_local(scratchBase_ + l, 1);
             ctx_.v_st_tnsr(
-                {addrs[static_cast<std::size_t>(l)], 0, 0, 0, 0}, t,
+                {addrs_[static_cast<std::size_t>(l)], 0, 0, 0, 0}, t,
                 lv, acc);
         }
     }
@@ -620,60 +651,56 @@ class BlockLowerer
     loadShared(int strip, const CudaInstr &i, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        const std::vector<std::int64_t> addrs = addrsFor(i, strip, iter);
-        const std::vector<char> act = activeFor(i.pred, strip, iter);
-        if (!anyOf(act))
+        addrsFor(i, strip, iter);
+        const int on = activeFor(i.pred, strip, iter);
+        if (on == 0)
             return;
-        const bool full = allOf(act);
+        const bool full = on == lanes;
+        checkAddrs(i, lanes, full);
 
-        const bool uniform = std::all_of(
-            addrs.begin(), addrs.end(),
-            [&](std::int64_t a) { return a == addrs[0]; });
-        bool contiguous = !i.addr.dataDependent();
-        for (std::size_t l = 1; contiguous && l < addrs.size(); l++)
-            contiguous = addrs[l] == addrs[0] + static_cast<std::int64_t>(l);
+        const bool uniform =
+            !i.addr.dataDependent() && uniformAddrs(lanes);
+        const bool contiguous = contiguousAddrs(i, lanes);
 
         tpc::Vec v;
-        if (uniform && !i.addr.dataDependent()) {
+        if (uniform) {
             ctx_.setOpLabel("port:shared-ld");
-            const tpc::Vec lv = ctx_.v_ld_local(addrs[0], 1);
+            const tpc::Vec lv = ctx_.v_ld_local(addrs_[0], 1);
             v = ctx_.v_broadcast(lv, lanes);
             if (!full)
-                v = blend(i, strip, iter, std::move(v));
-        } else if (contiguous && full && addrs[0] >= 0 &&
-                   addrs[0] + lanes <= desc_.sharedElems) {
+                v = blend(i, strip, iter, v);
+        } else if (contiguous && full && addrs_[0] >= 0 &&
+                   addrs_[0] + lanes <= desc_.sharedElems) {
             ctx_.setOpLabel("port:shared-ld");
-            v = ctx_.v_ld_local(addrs[0], lanes);
+            v = ctx_.v_ld_local(addrs_[0], lanes);
         } else if (contiguous) {
             // Shifted / clipped window (e.g. a scan step reading
             // shared[tid - d]): realign through scratch and blend.
-            const tpc::Vec old = getReg(strip, i.dst);
+            const tpc::Vec &old = getReg(strip, i.dst);
             ctx_.setOpLabel("port:shared-ld");
             ctx_.v_st_local(scratchBase_, old);
-            const std::int64_t lo = std::max<std::int64_t>(addrs[0], 0);
+            const std::int64_t lo = std::max<std::int64_t>(addrs_[0], 0);
             const std::int64_t hi = std::min<std::int64_t>(
-                addrs[0] + lanes, desc_.sharedElems);
+                addrs_[0] + lanes, desc_.sharedElems);
             if (hi > lo) {
                 const tpc::Vec part = ctx_.v_ld_local(
                     lo, static_cast<int>(hi - lo));
-                ctx_.v_st_local(scratchBase_ + (lo - addrs[0]), part);
+                ctx_.v_st_local(scratchBase_ + (lo - addrs_[0]), part);
             }
             v = ctx_.v_ld_local(scratchBase_, lanes);
             if (!full)
-                v = blend(i, strip, iter, std::move(v));
+                v = blend(i, strip, iter, v);
         } else {
             // Per-lane local gather.
-            tpc::Vec old;
-            if (!full)
-                old = getReg(strip, i.dst);
+            const tpc::Vec *old = full ? nullptr : &getReg(strip, i.dst);
             ctx_.setOpLabel("port:shared-ld");
-            if (!full)
-                ctx_.v_st_local(scratchBase_, old);
+            if (old != nullptr)
+                ctx_.v_st_local(scratchBase_, *old);
             for (int l = 0; l < lanes; l++) {
-                if (!act[static_cast<std::size_t>(l)])
+                if (!laneOn(l, full))
                     continue;
                 const tpc::Vec lv = ctx_.v_ld_local(
-                    addrs[static_cast<std::size_t>(l)], 1);
+                    addrs_[static_cast<std::size_t>(l)], 1);
                 ctx_.v_st_local(scratchBase_ + l, lv);
             }
             v = ctx_.v_ld_local(scratchBase_, lanes);
@@ -685,30 +712,27 @@ class BlockLowerer
     storeShared(int strip, const CudaInstr &i, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        const std::vector<std::int64_t> addrs = addrsFor(i, strip, iter);
-        const std::vector<char> act = activeFor(i.pred, strip, iter);
-        if (!anyOf(act))
+        addrsFor(i, strip, iter);
+        const int on = activeFor(i.pred, strip, iter);
+        if (on == 0)
             return;
-        const bool full = allOf(act);
-        const tpc::Vec src = getReg(strip, i.src0);
-
-        bool contiguous = !i.addr.dataDependent();
-        for (std::size_t l = 1; contiguous && l < addrs.size(); l++)
-            contiguous = addrs[l] == addrs[0] + static_cast<std::int64_t>(l);
+        const bool full = on == lanes;
+        checkAddrs(i, lanes, full);
+        const tpc::Vec &src = getReg(strip, i.src0);
 
         ctx_.setOpLabel("port:shared-st");
-        if (contiguous && full && addrs[0] >= 0 &&
-            addrs[0] + lanes <= desc_.sharedElems) {
-            ctx_.v_st_local(addrs[0], src);
+        if (contiguousAddrs(i, lanes) && full && addrs_[0] >= 0 &&
+            addrs_[0] + lanes <= desc_.sharedElems) {
+            ctx_.v_st_local(addrs_[0], src);
             return;
         }
         // Per-lane scatter into local memory.
         ctx_.v_st_local(scratchBase_, src);
         for (int l = 0; l < lanes; l++) {
-            if (!act[static_cast<std::size_t>(l)])
+            if (!laneOn(l, full))
                 continue;
             const tpc::Vec lv = ctx_.v_ld_local(scratchBase_ + l, 1);
-            ctx_.v_st_local(addrs[static_cast<std::size_t>(l)], lv);
+            ctx_.v_st_local(addrs_[static_cast<std::size_t>(l)], lv);
         }
     }
 
@@ -716,11 +740,13 @@ class BlockLowerer
     atomicAddShared(int strip, const CudaInstr &i, std::int64_t iter)
     {
         const int lanes = stripLanes(strip);
-        const std::vector<std::int64_t> addrs = addrsFor(i, strip, iter);
-        const std::vector<char> act = activeFor(i.pred, strip, iter);
-        if (!anyOf(act))
+        addrsFor(i, strip, iter);
+        const int on = activeFor(i.pred, strip, iter);
+        if (on == 0)
             return;
-        const tpc::Vec src = getReg(strip, i.src0);
+        const bool full = on == lanes;
+        checkAddrs(i, lanes, full);
+        const tpc::Vec &src = getReg(strip, i.src0);
 
         // Atomics have no TPC equivalent: the block owns its local
         // memory, so the lowering serializes lanes (read-add-write per
@@ -729,10 +755,9 @@ class BlockLowerer
         ctx_.setOpLabel("port:atomic");
         ctx_.v_st_local(scratchBase_, src);
         for (int l = 0; l < lanes; l++) {
-            if (!act[static_cast<std::size_t>(l)])
+            if (!laneOn(l, full))
                 continue;
-            const std::int64_t a =
-                addrs[static_cast<std::size_t>(l)];
+            const std::int64_t a = addrs_[static_cast<std::size_t>(l)];
             const tpc::Vec lv = ctx_.v_ld_local(scratchBase_ + l, 1);
             const tpc::Vec hv = ctx_.v_ld_local(a, 1);
             const tpc::Vec nv = ctx_.v_add(hv, lv);
@@ -757,11 +782,14 @@ class BlockLowerer
     const LowerOptions &opts_;
     tpc::TpcContext &ctx_;
     std::vector<tpc::Tensor> &tensors_;
-    std::int64_t block_;
+    std::int64_t block_ = 0;
     int stripWidth_;
     int numStrips_;
     std::int64_t scratchBase_;
-    std::vector<std::vector<tpc::Vec>> regs_;
+    /// regs_[strip * numRegs + r]; id < 0 = not yet written.
+    std::vector<tpc::Vec> regs_;
+    std::vector<std::int64_t> addrs_; ///< addrsFor()'s per-lane output.
+    std::vector<char> act_;           ///< activeFor()'s per-lane output.
     std::map<std::pair<std::int32_t, int>, tpc::Vec> splats_;
     std::map<int, tpc::Vec> iotas_;
     std::map<MaskKey, tpc::Vec> masks_;
@@ -810,20 +838,19 @@ lowerAndRun(const CudaKernelDesc &desc, const LowerOptions &options)
     auto tensors = std::make_shared<std::vector<tpc::Tensor>>();
     tensors->reserve(desc.buffers.size());
     for (const BufferDesc &b : desc.buffers) {
-        tpc::Tensor t({b.elems}, DataType::FP32);
-        t.fill([&b](std::int64_t i) { return bufferInitValue(b, i); });
-        tensors->push_back(std::move(t));
+        tpc::Tensor &t = tensors->emplace_back(
+            std::vector<std::int64_t>{b.elems}, DataType::FP32);
+        fillBufferInit(b, t.data());
     }
     auto units = std::make_shared<std::vector<Unit>>(splitUnits(desc));
 
     const LowerOptions opts = options;
     tpc::Kernel kernel = [descPtr, tensors, units,
                           opts](tpc::TpcContext &ctx) {
+        BlockLowerer lower(*descPtr, opts, ctx, *tensors);
         for (std::int64_t block = ctx.memberStart(1);
-             block < ctx.memberEnd(1); block++) {
-            BlockLowerer lower(*descPtr, opts, ctx, *tensors, block);
-            lower.run(*units);
-        }
+             block < ctx.memberEnd(1); block++)
+            lower.run(*units, block);
     };
 
     tpc::IndexSpace space;

@@ -20,6 +20,13 @@
  *    naive port), which is what exposes the 4-cycle dependency
  *    latency a hand-written kernel hides by unrolling.
  *
+ * Lane work is per strip, not per lane: a memory op's per-lane
+ * addresses and predicate activity are walked along the strip
+ * (port/cuda_desc.h's AddrWalk) into buffers that one BlockLowerer per
+ * TPC slice reuses for every block, and operands are bound by
+ * reference. Every active lane's address is bounds-checked like the
+ * reference interpreter checks every active thread's.
+ *
  * Every emitted instruction carries a "port:*" op label so the
  * migration-aware analyzer passes (analysis/static/passes_port.cc) can
  * attribute the performance gap to specific lowering artifacts.

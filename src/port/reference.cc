@@ -9,7 +9,7 @@ namespace vespera::port {
 
 namespace {
 
-/** Per-block interpreter state. */
+/** Interpreter state, reused block after block. */
 struct BlockState
 {
     const CudaKernelDesc &desc;
@@ -17,21 +17,23 @@ struct BlockState
     std::vector<float> shared;
     /// regs[thread * numRegs + r]
     std::vector<float> regs;
-    std::int64_t block = 0;
+    /// Thread 0's address context; the walkers step it to each tid.
+    LaneCtx first;
 
-    LaneCtx
-    laneCtx(std::int64_t tid, std::int64_t iter) const
+    /// Start `block`: zero shared memory and registers, and point
+    /// thread 0's context at the block with trip index 0.
+    void
+    enter(std::int64_t block)
     {
-        LaneCtx c;
-        c.tid = tid;
-        c.lane = tid % warpSize;
-        c.warp = tid / warpSize;
-        c.block = block;
-        c.blockX = block % desc.gridX;
-        c.blockY = block / desc.gridX;
-        c.globalTid = block * desc.blockThreads + tid;
-        c.iter = iter;
-        return c;
+        shared.assign(static_cast<std::size_t>(desc.sharedElems), 0.0f);
+        regs.assign(static_cast<std::size_t>(desc.blockThreads *
+                                             desc.numRegs),
+                    0.0f);
+        first.block = block;
+        first.blockX = block % desc.gridX;
+        first.blockY = block / desc.gridX;
+        first.globalTid = block * desc.blockThreads;
+        first.iter = 0;
     }
 
     float *
@@ -41,47 +43,71 @@ struct BlockState
     }
 };
 
+/**
+ * Run `f(regs, addr)` for every thread whose predicate holds, in
+ * ascending tid: the single sweep one op takes over the block. `addr`
+ * walks the op's address along the threads.
+ */
+template <typename F>
 void
-checkBufferIndex(const BlockState &st, const CudaInstr &i,
-                 std::int64_t idx)
+forActive(BlockState &st, const CudaInstr &i, F &&f)
 {
-    const std::vector<float> &buf =
-        st.buffers[static_cast<std::size_t>(i.buf)];
-    vassert(idx >= 0 && idx < static_cast<std::int64_t>(buf.size()),
-            "%s: %s address %lld out of buffer '%s' [0, %zu)",
-            st.desc.name.c_str(), cudaOpName(i.op),
-            static_cast<long long>(idx),
-            st.desc.buffers[static_cast<std::size_t>(i.buf)].name.c_str(),
-            buf.size());
+    const std::int64_t threads = st.desc.blockThreads;
+    AddrWalk addr(i.addr, st.first);
+    if (!i.pred.active) {
+        for (std::int64_t t = 0; t < threads; t++, addr.next())
+            f(st.regsOf(t), addr);
+        return;
+    }
+    const Pred &p = i.pred;
+    if (p.onRegs) {
+        for (std::int64_t t = 0; t < threads; t++, addr.next()) {
+            float *r = st.regsOf(t);
+            if (evalCmp(p.op, r[p.lhsReg], r[p.rhsReg]))
+                f(r, addr);
+        }
+        return;
+    }
+    AddrWalk lhs(p.lhs, st.first), rhs(p.rhs, st.first);
+    for (std::int64_t t = 0; t < threads;
+         t++, addr.next(), lhs.next(), rhs.next()) {
+        float *r = st.regsOf(t);
+        if (evalCmp(p.op, static_cast<double>(lhs.at(r)),
+                    static_cast<double>(rhs.at(r))))
+            f(r, addr);
+    }
 }
 
+/** reg[dst] = f(regs) for every active thread. */
+template <typename F>
 void
-checkSharedIndex(const BlockState &st, const CudaInstr &i,
-                 std::int64_t idx)
+aluOp(BlockState &st, const CudaInstr &i, F &&f)
 {
-    vassert(idx >= 0 && idx < st.desc.sharedElems,
-            "%s: %s shared address %lld out of [0, %lld)",
-            st.desc.name.c_str(), cudaOpName(i.op),
-            static_cast<long long>(idx),
-            static_cast<long long>(st.desc.sharedElems));
+    forActive(st, i,
+              [&](float *r, const AddrWalk &) { r[i.dst] = f(r); });
 }
 
 /**
- * Execute one op for all threads of the block in lockstep: evaluate
- * every thread's reads before any thread's writes take effect (two
- * sweeps for ops whose sources other threads could overwrite).
+ * Execute one op for all threads of the block, in one ascending-tid
+ * sweep. That equals per-op lockstep because no thread reads, within
+ * one op, what another thread writes in it: loads and ALU ops write
+ * only the thread's own registers, stores read only them, and
+ * same-address stores and shared atomics land in ascending tid order,
+ * as a write phase run in ascending tid would leave them. Warp
+ * reductions read the whole warp, so they keep a gather pass before
+ * the broadcast.
  */
 void
-stepInstr(BlockState &st, const CudaInstr &i, std::int64_t iter)
+stepInstr(BlockState &st, const CudaInstr &i)
 {
-    const std::int64_t threads = st.desc.blockThreads;
-
-    if (i.op == CudaOp::Sync)
+    switch (i.op) {
+      case CudaOp::Sync:
         return; // Lockstep interpretation is already barrier-strong.
-
-    if (i.op == CudaOp::WarpReduceSum || i.op == CudaOp::WarpReduceMax) {
+      case CudaOp::WarpReduceSum:
+      case CudaOp::WarpReduceMax: {
         // Warp-wide reduction over all lanes of each (possibly
         // partial) warp; every lane receives the result.
+        const std::int64_t threads = st.desc.blockThreads;
         for (std::int64_t wbase = 0; wbase < threads;
              wbase += warpSize) {
             const std::int64_t wend =
@@ -100,101 +126,86 @@ stepInstr(BlockState &st, const CudaInstr &i, std::int64_t iter)
                 st.regsOf(t)[i.dst] = r;
         }
         return;
-    }
-
-    if (i.op == CudaOp::AtomicAddShared) {
-        // Serialized over threads (deterministic ascending-tid order;
-        // the lowering serializes lanes the same way).
-        for (std::int64_t t = 0; t < threads; t++) {
-            const LaneCtx c = st.laneCtx(t, iter);
-            float *r = st.regsOf(t);
-            if (!evalPred(i.pred, c, r))
-                continue;
-            const std::int64_t idx = evalAddr(i.addr, c, r);
-            checkSharedIndex(st, i, idx);
+      }
+      case CudaOp::LoadGlobal: {
+        const float *buf =
+            st.buffers[static_cast<std::size_t>(i.buf)].data();
+        return forActive(st, i, [&](float *r, const AddrWalk &addr) {
+            const std::int64_t idx = addr.at(r);
+            checkGlobalIndex(st.desc, i, idx);
+            r[i.dst] = buf[idx];
+        });
+      }
+      case CudaOp::StoreGlobal: {
+        float *buf = st.buffers[static_cast<std::size_t>(i.buf)].data();
+        return forActive(st, i, [&](float *r, const AddrWalk &addr) {
+            const std::int64_t idx = addr.at(r);
+            checkGlobalIndex(st.desc, i, idx);
+            buf[idx] = r[i.src0];
+        });
+      }
+      case CudaOp::LoadShared:
+        return forActive(st, i, [&](float *r, const AddrWalk &addr) {
+            const std::int64_t idx = addr.at(r);
+            checkSharedIndex(st.desc, i, idx);
+            r[i.dst] = st.shared[static_cast<std::size_t>(idx)];
+        });
+      case CudaOp::StoreShared:
+        return forActive(st, i, [&](float *r, const AddrWalk &addr) {
+            const std::int64_t idx = addr.at(r);
+            checkSharedIndex(st.desc, i, idx);
+            st.shared[static_cast<std::size_t>(idx)] = r[i.src0];
+        });
+      case CudaOp::AtomicAddShared:
+        // Serialized in ascending tid (the lowering serializes lanes
+        // the same way).
+        return forActive(st, i, [&](float *r, const AddrWalk &addr) {
+            const std::int64_t idx = addr.at(r);
+            checkSharedIndex(st.desc, i, idx);
             st.shared[static_cast<std::size_t>(idx)] += r[i.src0];
-        }
-        return;
+        });
+      case CudaOp::MovImm:
+        return aluOp(st, i, [&](const float *) { return i.imm; });
+      case CudaOp::Mov:
+        return aluOp(st, i, [&](const float *r) { return r[i.src0]; });
+      case CudaOp::Add:
+        return aluOp(st, i, [&](const float *r) {
+            return r[i.src0] + r[i.src1];
+        });
+      case CudaOp::Sub:
+        return aluOp(st, i, [&](const float *r) {
+            return r[i.src0] - r[i.src1];
+        });
+      case CudaOp::Mul:
+        return aluOp(st, i, [&](const float *r) {
+            return r[i.src0] * r[i.src1];
+        });
+      case CudaOp::Max:
+        return aluOp(st, i, [&](const float *r) {
+            return std::max(r[i.src0], r[i.src1]);
+        });
+      case CudaOp::Fma:
+        return aluOp(st, i, [&](const float *r) {
+            return r[i.src0] * r[i.src1] + r[i.src2];
+        });
+      case CudaOp::AddImm:
+        return aluOp(st, i,
+                     [&](const float *r) { return r[i.src0] + i.imm; });
+      case CudaOp::MulImm:
+        return aluOp(st, i,
+                     [&](const float *r) { return r[i.src0] * i.imm; });
+      case CudaOp::Exp:
+        return aluOp(st, i,
+                     [&](const float *r) { return std::exp(r[i.src0]); });
+      case CudaOp::Rsqrt:
+        return aluOp(st, i, [&](const float *r) {
+            return 1.0f / std::sqrt(r[i.src0]);
+        });
+      case CudaOp::Recip:
+        return aluOp(st, i,
+                     [&](const float *r) { return 1.0f / r[i.src0]; });
     }
-
-    // Read phase: compute every thread's result against pre-op state.
-    std::vector<float> results(static_cast<std::size_t>(threads), 0.0f);
-    std::vector<bool> active(static_cast<std::size_t>(threads), false);
-    for (std::int64_t t = 0; t < threads; t++) {
-        const LaneCtx c = st.laneCtx(t, iter);
-        float *r = st.regsOf(t);
-        if (!evalPred(i.pred, c, r))
-            continue;
-        active[static_cast<std::size_t>(t)] = true;
-        float v = 0;
-        switch (i.op) {
-          case CudaOp::LoadGlobal: {
-            const std::int64_t idx = evalAddr(i.addr, c, r);
-            checkBufferIndex(st, i, idx);
-            v = st.buffers[static_cast<std::size_t>(i.buf)]
-                          [static_cast<std::size_t>(idx)];
-            break;
-          }
-          case CudaOp::StoreGlobal: {
-            v = r[i.src0];
-            break;
-          }
-          case CudaOp::LoadShared: {
-            const std::int64_t idx = evalAddr(i.addr, c, r);
-            checkSharedIndex(st, i, idx);
-            v = st.shared[static_cast<std::size_t>(idx)];
-            break;
-          }
-          case CudaOp::StoreShared: {
-            v = r[i.src0];
-            break;
-          }
-          case CudaOp::MovImm: v = i.imm; break;
-          case CudaOp::Mov: v = r[i.src0]; break;
-          case CudaOp::Add: v = r[i.src0] + r[i.src1]; break;
-          case CudaOp::Sub: v = r[i.src0] - r[i.src1]; break;
-          case CudaOp::Mul: v = r[i.src0] * r[i.src1]; break;
-          case CudaOp::Max: v = std::max(r[i.src0], r[i.src1]); break;
-          case CudaOp::Fma:
-            v = r[i.src0] * r[i.src1] + r[i.src2];
-            break;
-          case CudaOp::AddImm: v = r[i.src0] + i.imm; break;
-          case CudaOp::MulImm: v = r[i.src0] * i.imm; break;
-          case CudaOp::Exp: v = std::exp(r[i.src0]); break;
-          case CudaOp::Rsqrt: v = 1.0f / std::sqrt(r[i.src0]); break;
-          case CudaOp::Recip: v = 1.0f / r[i.src0]; break;
-          default:
-            vpanic("unhandled op %s", cudaOpName(i.op));
-        }
-        results[static_cast<std::size_t>(t)] = v;
-    }
-
-    // Write phase.
-    for (std::int64_t t = 0; t < threads; t++) {
-        if (!active[static_cast<std::size_t>(t)])
-            continue;
-        const LaneCtx c = st.laneCtx(t, iter);
-        float *r = st.regsOf(t);
-        const float v = results[static_cast<std::size_t>(t)];
-        switch (i.op) {
-          case CudaOp::StoreGlobal: {
-            const std::int64_t idx = evalAddr(i.addr, c, r);
-            checkBufferIndex(st, i, idx);
-            st.buffers[static_cast<std::size_t>(i.buf)]
-                      [static_cast<std::size_t>(idx)] = v;
-            break;
-          }
-          case CudaOp::StoreShared: {
-            const std::int64_t idx = evalAddr(i.addr, c, r);
-            checkSharedIndex(st, i, idx);
-            st.shared[static_cast<std::size_t>(idx)] = v;
-            break;
-          }
-          default:
-            r[i.dst] = v;
-            break;
-        }
-    }
+    vpanic("unhandled op %s", cudaOpName(i.op));
 }
 
 } // namespace
@@ -207,30 +218,25 @@ runReference(const CudaKernelDesc &desc)
     ReferenceResult out;
     out.buffers.reserve(desc.buffers.size());
     for (const BufferDesc &b : desc.buffers) {
-        std::vector<float> data(static_cast<std::size_t>(b.elems));
-        for (std::int64_t i = 0; i < b.elems; i++)
-            data[static_cast<std::size_t>(i)] = bufferInitValue(b, i);
-        out.buffers.push_back(std::move(data));
+        std::vector<float> &data = out.buffers.emplace_back(
+            static_cast<std::size_t>(b.elems));
+        fillBufferInit(b, data.data());
     }
 
+    BlockState st{desc, out.buffers};
     for (std::int64_t block = 0; block < desc.gridBlocks; block++) {
-        BlockState st{desc, out.buffers};
-        st.block = block;
-        st.shared.assign(static_cast<std::size_t>(desc.sharedElems),
-                         0.0f);
-        st.regs.assign(static_cast<std::size_t>(desc.blockThreads *
-                                                desc.numRegs),
-                       0.0f);
+        st.enter(block);
         for (const CudaStmt &s : desc.body) {
             if (s.kind == CudaStmt::Kind::Instr) {
-                stepInstr(st, s.instr, 0);
-            } else {
-                for (std::int64_t trip = 0; trip < s.loop.trips;
-                     trip++) {
-                    for (const CudaInstr &i : s.loop.body)
-                        stepInstr(st, i, trip);
-                }
+                stepInstr(st, s.instr);
+                continue;
             }
+            for (std::int64_t trip = 0; trip < s.loop.trips; trip++) {
+                st.first.iter = trip;
+                for (const CudaInstr &i : s.loop.body)
+                    stepInstr(st, i);
+            }
+            st.first.iter = 0;
         }
     }
     return out;

@@ -127,12 +127,13 @@ TEST_F(SimtTest, Fp32HalvesVectorPeak)
 
 // Degenerate geometry must die loudly, not produce a zero-time (or
 // NaN-utilization) cost that silently poisons a roofline downstream.
+// Each check names the field (or parameter) and the offending value.
 TEST_F(SimtTest, EmptyStreamKernelDies)
 {
     StreamKernelDesc k;
     k.numElements = 0;
     EXPECT_DEATH((void)model_.streamKernel(k, DataType::BF16),
-                 "empty stream kernel");
+                 "StreamKernelDesc\\.numElements must be > 0, got 0");
 }
 
 TEST_F(SimtTest, NegativeIntensityDies)
@@ -141,39 +142,61 @@ TEST_F(SimtTest, NegativeIntensityDies)
     k.numElements = 1 << 10;
     k.bytesPerElement = -4;
     EXPECT_DEATH((void)model_.streamKernel(k, DataType::BF16),
-                 "negative stream-kernel intensity");
+                 "StreamKernelDesc\\.bytesPerElement must be >= 0, "
+                 "got -4");
+}
+
+TEST_F(SimtTest, NegativeFlopsPerElementDies)
+{
+    StreamKernelDesc k;
+    k.numElements = 1 << 10;
     k.bytesPerElement = 4;
     k.flopsPerElement = -1;
     EXPECT_DEATH((void)model_.streamKernel(k, DataType::BF16),
-                 "negative stream-kernel intensity");
+                 "StreamKernelDesc\\.flopsPerElement must be >= 0, "
+                 "got -1");
 }
 
 TEST_F(SimtTest, EmptySweepDies)
 {
     EXPECT_DEATH((void)model_.stridedSweep({4, 4, 32}, 0),
-                 "empty sweep");
+                 "stridedSweep num_elements must be > 0, got 0");
 }
 
 TEST_F(SimtTest, ZeroLaneWarpPatternDies)
 {
     EXPECT_DEATH((void)model_.coalescing({4, 4, 0}),
-                 "bad warp pattern");
+                 "WarpAccessPattern\\.warpSize must be > 0, got 0");
+}
+
+TEST_F(SimtTest, ZeroElementBytesWarpPatternDies)
+{
     EXPECT_DEATH((void)model_.coalescing({0, 4, 32}),
-                 "bad warp pattern");
+                 "WarpAccessPattern\\.elementBytes must be > 0, got 0");
 }
 
 TEST_F(SimtTest, EmptyGatherScatterDies)
 {
     EXPECT_DEATH((void)model_.gatherScatter(0, 1 << 10, false),
-                 "empty gather/scatter");
+                 "gatherScatter access_size must be > 0, got 0");
+}
+
+TEST_F(SimtTest, ZeroAccessGatherScatterDies)
+{
     EXPECT_DEATH((void)model_.gatherScatter(16, 0, false),
-                 "empty gather/scatter");
+                 "gatherScatter num_accesses must be > 0, got 0");
 }
 
 TEST_F(SimtTest, ZeroOccupancyGatherDies)
 {
     EXPECT_DEATH((void)model_.gatherScatter(16, 1 << 10, false, 0.0),
-                 "gather/scatter needs occupancy");
+                 "gatherScatter occupancy_warps must be > 0, got 0");
+}
+
+TEST(SimtDeath, NonA100SpecDies)
+{
+    EXPECT_DEATH(SimtModel{hw::gaudi2Spec()},
+                 "DeviceSpec\\.kind must be A100 .*got Gaudi");
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "port/cuda_desc.h"
 #include "port/reference.h"
 
@@ -44,6 +46,43 @@ TEST(AddrExpr, IndexRegisterTruncates)
     a.indexReg = 0;
     const float regs[1] = {3.9f};
     EXPECT_EQ(evalAddr(a, LaneCtx{}, regs), 13);
+}
+
+// The incremental walk both executors use equals a fresh evalAddr at
+// every thread, across warp boundaries and a partial last warp, for
+// every coefficient at once.
+TEST(AddrExpr, WalkMatchesEvalAtEveryThread)
+{
+    AddrExpr a;
+    a.base = 5;
+    a.cTid = 3;
+    a.cLane = -7;
+    a.cWarp = 11;
+    a.cBlock = 13;
+    a.cBlockX = 17;
+    a.cBlockY = 19;
+    a.cGlobal = 2;
+    a.cIter = 23;
+    a.cPow2Iter = 29;
+    a.indexReg = 1;
+
+    const std::int64_t block = 7, gridX = 3, blockThreads = 100;
+    LaneCtx first;
+    first.block = block;
+    first.blockX = block % gridX;
+    first.blockY = block / gridX;
+    first.globalTid = block * blockThreads;
+    first.iter = 3;
+    AddrWalk walk(a, first);
+    for (std::int64_t t = 0; t < blockThreads; t++, walk.next()) {
+        LaneCtx c = first;
+        c.tid = t;
+        c.lane = t % warpSize;
+        c.warp = t / warpSize;
+        c.globalTid = block * blockThreads + t;
+        const float regs[2] = {0.0f, static_cast<float>(t % 5) + 0.5f};
+        ASSERT_EQ(walk.at(regs), evalAddr(a, c, regs)) << "tid " << t;
+    }
 }
 
 TEST(Pred, AddressFormComparesAffineExprs)
@@ -100,6 +139,31 @@ TEST(BufferInit, PatternsAreDeterministicAndInRange)
         const float v = bufferInitValue(wave, i);
         EXPECT_GE(v, -2.0f);
         EXPECT_LE(v, 2.0f);
+    }
+}
+
+// The bulk fill writes exactly bufferInitValue for every element:
+// periodic patterns at lengths below, at and past whole periods.
+TEST(BufferInit, FillMatchesPerElementValue)
+{
+    for (const BufferInit init :
+         {BufferInit::Zero, BufferInit::Linear, BufferInit::Wave,
+          BufferInit::Mod, BufferInit::Indices}) {
+        for (const std::int64_t elems : {1, 7, 113, 114, 1000, 4099}) {
+            BufferDesc b;
+            b.elems = elems;
+            b.init = init;
+            b.initScale = 1.5;
+            b.initMod = 7;
+            std::vector<float> got(static_cast<std::size_t>(elems));
+            fillBufferInit(b, got.data());
+            for (std::int64_t i = 0; i < elems; i++) {
+                ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                          bufferInitValue(b, i))
+                    << "init " << static_cast<int>(init) << " elems "
+                    << elems << " element " << i;
+            }
+        }
     }
 }
 
@@ -261,6 +325,76 @@ TEST(Reference, WarpReduceSumBroadcastsWarpTotal)
     const ReferenceResult r = runReference(d);
     for (std::size_t i = 0; i < 128; i++)
         EXPECT_EQ(r.buffers[1][i], 48.0f) << "element " << i;
+}
+
+// Two threads store to one global address in the same op: the
+// higher tid's value lands, as after a lockstep read phase whose
+// write phase runs in ascending tid.
+TEST(Reference, StoreToSameAddressLastTidWins)
+{
+    CudaKernelDesc d = tinyScaleDesc();
+    d.gridBlocks = 1;
+    d.blockThreads = 2;
+    d.body[2].instr.addr = AddrExpr{}; // Every thread stores out[0].
+    const ReferenceResult r = runReference(d);
+    EXPECT_EQ(r.buffers[1][0], 2.0f * bufferInitValue(d.buffers[0], 1));
+    EXPECT_NE(r.buffers[1][0], 2.0f * bufferInitValue(d.buffers[0], 0));
+}
+
+// Thread t stores shared[t]; the next op loads shared[t + 1] with no
+// Sync between. Per-op lockstep guarantees every store of one op is
+// visible to every load of the next.
+TEST(Reference, OpSeesPreviousOpsStores)
+{
+    CudaKernelDesc d = tinyScaleDesc();
+    d.sharedElems = d.blockThreads + 1; // shared[64] stays 0.
+    CudaInstr st;
+    st.op = CudaOp::StoreShared;
+    st.src0 = 0;
+    st.addr.cTid = 1;
+    CudaInstr ld;
+    ld.op = CudaOp::LoadShared;
+    ld.dst = 1;
+    ld.addr.cTid = 1;
+    ld.addr.base = 1;
+    CudaInstr out;
+    out.op = CudaOp::StoreGlobal;
+    out.src0 = 1;
+    out.buf = 1;
+    out.addr.cGlobal = 1;
+    d.body = {d.body[0], CudaStmt::of(st), CudaStmt::of(ld),
+              CudaStmt::of(out)};
+    const ReferenceResult r = runReference(d);
+    for (std::int64_t i = 0; i < 128; i++) {
+        const float want = i % 64 == 63
+                               ? 0.0f
+                               : bufferInitValue(d.buffers[0], i + 1);
+        EXPECT_EQ(r.buffers[1][static_cast<std::size_t>(i)], want)
+            << "element " << i;
+    }
+}
+
+// Every active thread's access is bounds-checked, and the panic names
+// the kernel, the op and the buffer.
+TEST(ReferenceDeath, OutOfRangeGlobalAddressDies)
+{
+    CudaKernelDesc d = tinyScaleDesc();
+    d.body[0].instr.addr.base = 1; // Thread 127 loads x[128].
+    EXPECT_DEATH(runReference(d), "tiny_scale: ld\\.global address 128 "
+                                  "out of buffer 'x' \\[0, 128\\)");
+}
+
+TEST(ReferenceDeath, OutOfRangeSharedAddressDies)
+{
+    CudaKernelDesc d = tinyScaleDesc();
+    d.sharedElems = 64;
+    CudaInstr st;
+    st.op = CudaOp::StoreShared;
+    st.src0 = 0;
+    st.addr.cGlobal = 1; // Block 1 stores shared[64..127].
+    d.body.push_back(CudaStmt::of(st));
+    EXPECT_DEATH(runReference(d), "tiny_scale: st\\.shared address 64 "
+                                  "out of shared memory \\[0, 64\\)");
 }
 
 } // namespace

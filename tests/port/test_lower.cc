@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -17,6 +20,7 @@
 #include "port/lower.h"
 #include "port/reference.h"
 #include "runtime/pool.h"
+#include "tpc/dispatcher.h"
 
 namespace vespera::port {
 namespace {
@@ -95,6 +99,148 @@ outputFingerprint(const CudaKernelDesc &desc, const PortRun &run)
     return os.str();
 }
 
+/** FNV-1a 64 of `s` as 16 hex digits: a short, exact pin. */
+std::string
+hexDigest(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/** Every LaunchResult field, bit-exactly (`%a` for doubles). */
+std::string
+launchFingerprint(const tpc::LaunchResult &r)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof(buf), "%a %a %a %a %llu %llu %a %a %d %llu",
+                  r.time, r.slowestTpcTime, r.memoryBoundTime,
+                  r.totalFlops,
+                  static_cast<unsigned long long>(r.usefulBytes),
+                  static_cast<unsigned long long>(r.busBytes),
+                  r.achievedFlopsPerSec, r.hbmUtilization, r.activeTpcs,
+                  static_cast<unsigned long long>(r.localMemHighWater));
+    return buf;
+}
+
+/**
+ * Digests of the whole corpus as the two-phase reference interpreter
+ * and the per-lane lowering produced them. The port layer's host-side
+ * rewrites must leave every bit of these unchanged; a deliberate
+ * output change re-prints them (the failure message shows the new
+ * value).
+ */
+const std::map<std::string, std::string> &
+pinnedReferenceDigests()
+{
+    static const std::map<std::string, std::string> pins = {
+        {"port_saxpy", "ed5dbf3a0a73b2f7"},
+        {"port_vecadd", "2b7505e1951650ba"},
+        {"port_scale", "7151d9357abfae59"},
+        {"port_strided_copy", "0e9fa0c9b47bbc85"},
+        {"port_staged_copy", "4535a7dc8865d619"},
+        {"port_branchy_scale", "1e1bf2e1a7bcb133"},
+        {"port_reduce_sum", "d9b9cc77a7fb238d"},
+        {"port_dot", "9006612d6b6dd419"},
+        {"port_scan_incl", "0743b42f7664e1d2"},
+        {"port_stencil3", "ec548219743781db"},
+        {"port_stencil5_2d", "79339641ed96a8b2"},
+        {"port_histogram", "ced43147e4794325"},
+        {"port_gather", "761ce9bb4c0b6491"},
+        {"port_scatter", "ee221411a3e60830"},
+        {"port_transpose", "331e2a173adc6685"},
+        {"port_rmsnorm", "bdaa0cf7bce58ef3"},
+        {"port_softmax", "c027be0f32b85e40"},
+        {"port_rope", "07d67137d8ea45e7"},
+        {"port_topk", "486db263a96b3849"},
+        {"port_saxpy_tuned", "ed5dbf3a0a73b2f7"},
+        {"port_stencil3_tuned", "ec548219743781db"},
+    };
+    return pins;
+}
+
+const std::map<std::string, std::string> &
+pinnedLoweringDigests()
+{
+    static const std::map<std::string, std::string> pins = {
+        {"port_saxpy", "37977b7b2ae367b9"},
+        {"port_vecadd", "e4bed53662e8147c"},
+        {"port_scale", "37b60d5a519144ed"},
+        {"port_strided_copy", "3deac888a06b4b8c"},
+        {"port_staged_copy", "dcf1d3ece48276c1"},
+        {"port_branchy_scale", "bebf7d59d5dd7400"},
+        {"port_reduce_sum", "9a9dbd30cb1a01ff"},
+        {"port_dot", "cc01b78ae264bc0a"},
+        {"port_scan_incl", "b06f8f3ceedaefd5"},
+        {"port_stencil3", "e627f185178654d6"},
+        {"port_stencil5_2d", "cd8acd452317aa41"},
+        {"port_histogram", "97572ffe5eded3c6"},
+        {"port_gather", "8d262609fe6fd380"},
+        {"port_scatter", "6a14db1b99168de1"},
+        {"port_transpose", "669d0078d47c7fc0"},
+        {"port_rmsnorm", "6a8fbdacb67f6aed"},
+        {"port_softmax", "b3af05b74c2407bb"},
+        {"port_rope", "52e92cbb5bb06dff"},
+        {"port_topk", "68bbd6a609e253b9"},
+        {"port_saxpy_tuned", "6d656e0aa15d85e0"},
+        {"port_stencil3_tuned", "a15686e1d127aaaf"},
+    };
+    return pins;
+}
+
+// The reference interpreter's final buffers, every buffer and every
+// bit, for every corpus entry (the `_tuned` ones included).
+TEST(Reference, CorpusOutputsMatchParent)
+{
+    const auto &pins = pinnedReferenceDigests();
+    EXPECT_EQ(pins.size(), migrationCorpus().size());
+    for (const CorpusEntry &e : migrationCorpus()) {
+        const ReferenceResult ref = runReference(e.desc);
+        std::string bytes;
+        for (const std::vector<float> &b : ref.buffers)
+            bytes.append(reinterpret_cast<const char *>(b.data()),
+                         b.size() * sizeof(float));
+        const std::string got = hexDigest(bytes);
+        const auto it = pins.find(e.desc.name);
+        EXPECT_TRUE(it != pins.end() && it->second == got)
+            << "{\"" << e.desc.name << "\", \"" << got << "\"},";
+    }
+}
+
+// The lowering's every per-TPC trace (instructions and labels), its
+// output tensors and its LaunchResult, for every corpus entry.
+TEST(Lowering, CorpusTraceAndOutputsMatchParent)
+{
+    const auto &pins = pinnedLoweringDigests();
+    EXPECT_EQ(pins.size(), migrationCorpus().size());
+    for (const CorpusEntry &e : migrationCorpus()) {
+        std::string traces;
+        PortRun run;
+        {
+            tpc::ScopedTraceObserver observer(
+                [&traces](const tpc::Program &p, int tpc_index) {
+                    traces += std::to_string(tpc_index) + "\n";
+                    for (const std::string &l : p.labels())
+                        traces += l + "\n";
+                    traces += fingerprint(p);
+                });
+            run = lowerAndRun(e.desc, e.lower);
+        }
+        const std::string got =
+            hexDigest(traces + outputFingerprint(e.desc, run) +
+                      launchFingerprint(run.launch));
+        const auto it = pins.find(e.desc.name);
+        EXPECT_TRUE(it != pins.end() && it->second == got)
+            << "{\"" << e.desc.name << "\", \"" << got << "\"},";
+    }
+}
+
 // The determinism property the whole telemetry stack leans on,
 // extended to the migration layer: lowering and running a desc
 // produces a byte-identical trace and byte-identical outputs at any
@@ -157,9 +303,9 @@ TEST(Lowering, TunedOptionsCloseTheGap)
     }
 }
 
-// A desc that was never lowered before (not in the corpus) exercises
-// lowerAndRun directly — the API is usable outside the corpus.
-TEST(Lowering, AdHocDescLowersCorrectly)
+/** out = a + b over 16 blocks x 256 threads (not a corpus kernel). */
+CudaKernelDesc
+adHocAddDesc()
 {
     CudaKernelDesc d;
     d.name = "adhoc_add";
@@ -203,9 +349,73 @@ TEST(Lowering, AdHocDescLowersCorrectly)
     d.body = {CudaStmt::of(la), CudaStmt::of(lb), CudaStmt::of(add),
               CudaStmt::of(st)};
 
+    return d;
+}
+
+// A desc that was never lowered before (not in the corpus) exercises
+// lowerAndRun directly — the API is usable outside the corpus.
+TEST(Lowering, AdHocDescLowersCorrectly)
+{
+    const CudaKernelDesc d = adHocAddDesc();
     const PortRun run = lowerAndRun(d);
     const ReferenceResult ref = runReference(d);
     EXPECT_EQ(maxRelError(d, run, ref), 0.0);
+}
+
+// The dispatcher's parallel path (no trace observer installed) must
+// produce the serial path's outputs and LaunchResult bit for bit.
+// ByteIdenticalAcrossThreadCounts cannot cover it: capture forces
+// the serial dispatcher. The TSan job runs this test.
+TEST(Lowering, ParallelDispatchMatchesSerial)
+{
+    struct RestoreThreads
+    {
+        int threads = runtime::Pool::global().threads();
+        ~RestoreThreads() { runtime::Pool::setGlobalThreads(threads); }
+    } restore;
+    for (const char *name :
+         {"port_saxpy", "port_scan_incl", "port_histogram"}) {
+        const CorpusEntry *e = findCorpusEntry(name);
+        ASSERT_NE(e, nullptr) << name;
+        std::string serial;
+        for (const int threads : {1, 4}) {
+            runtime::Pool::setGlobalThreads(threads);
+            const PortRun run = lowerAndRun(e->desc, e->lower);
+            const std::string got = outputFingerprint(e->desc, run) +
+                                    launchFingerprint(run.launch);
+            if (threads == 1)
+                serial = got;
+            else
+                EXPECT_EQ(got, serial) << name << " differs at "
+                                       << threads << " threads";
+        }
+    }
+}
+
+// The lowering checks every active lane's address like the reference
+// checks every active thread's, so a bad address dies naming the
+// kernel, the op and the buffer rather than clamping silently.
+TEST(LoweringDeath, OutOfRangeGlobalAddressDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CudaKernelDesc d = adHocAddDesc();
+    d.body[0].instr.addr.base = 1; // Thread 4095 loads a[4096].
+    EXPECT_DEATH(lowerAndRun(d), "adhoc_add: ld\\.global address 4096 "
+                                 "out of buffer 'a' \\[0, 4096\\)");
+}
+
+TEST(LoweringDeath, OutOfRangeSharedAddressDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CudaKernelDesc d = adHocAddDesc();
+    d.sharedElems = 256;
+    CudaInstr st;
+    st.op = CudaOp::StoreShared;
+    st.src0 = 2;
+    st.addr.cGlobal = 1; // Blocks past the first overrun.
+    d.body.push_back(CudaStmt::of(st));
+    EXPECT_DEATH(lowerAndRun(d), "adhoc_add: st\\.shared address [0-9]+ "
+                                 "out of shared memory \\[0, 256\\)");
 }
 
 } // namespace
