@@ -8,7 +8,7 @@
  *                      tracks) of everything the run recorded
  *   --metrics=<path>   write a `vespera-metrics/v2` JSON document
  *                      (device counters, rate meters, histograms,
- *                      attribution, optional google-benchmark timings)
+ *                      attribution, optional bench-reported rates)
  *   --telemetry-dir=<dir>  convenience: both of the above, at
  *                      <dir>/<bench>.trace.json and
  *                      <dir>/<bench>.metrics.json
@@ -43,8 +43,8 @@
  *       return bench::finish(opts);
  *   }
  *
- * parseArgs strips the flags it owns from argv, so harnesses with
- * their own flag parsing (google-benchmark) can consume the rest.
+ * Any other flag, and a --threads value that is not an integer, is a
+ * usage error: the bench exits 2 naming it.
  */
 
 #ifndef VESPERA_BENCH_COMMON_H
@@ -75,23 +75,43 @@ struct Options
     int threads = 1;         ///< Runtime pool size this run used.
     /// Virtual-time sampling interval in simulated seconds; 0 = off.
     double timelineInterval = 0;
-    /** Extra google-benchmark results merged into the metrics doc. */
+    /** Bench-reported results (the `benchmarks` section). */
     obs::MetricsMeta meta;
 };
 
+/** Exit 2 naming `arg`: the harness accepts no flag it cannot use. */
+[[noreturn]] inline void
+badFlag(const char *bench_name, const char *arg)
+{
+    std::fprintf(stderr, "%s: unknown flag '%s' (see --help)\n",
+                 bench_name, arg);
+    std::exit(2);
+}
+
+/** `text` as a thread count; `arg` names the flag when it is not. */
+inline int
+parseThreads(const char *bench_name, const std::string &arg,
+             const char *text)
+{
+    char *end = nullptr;
+    const long n = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0')
+        badFlag(bench_name, arg.c_str());
+    return static_cast<int>(n);
+}
+
 /**
- * Parse and strip the harness flags from argv. Enables the process
- * profiler when a trace was requested; redirects stdout to /dev/null
- * under --quiet so benches need no conditional printing.
+ * Parse the harness flags. Enables the process profiler when a trace
+ * was requested; redirects stdout to /dev/null under --quiet so
+ * benches need no conditional printing.
  */
 inline Options
-parseArgs(int &argc, char **argv, const char *bench_name)
+parseArgs(int argc, char **argv, const char *bench_name)
 {
     Options opts;
     opts.name = bench_name;
     opts.meta.tool = bench_name;
 
-    int kept = 1;
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--trace=", 8) == 0) {
@@ -104,10 +124,12 @@ parseArgs(int &argc, char **argv, const char *bench_name)
             const std::string dir(arg + 16);
             opts.telemetryDir = dir.empty() ? "." : dir;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            opts.threads = std::atoi(arg + 10);
+            opts.threads = parseThreads(bench_name, arg, arg + 10);
         } else if (std::strcmp(arg, "--threads") == 0 &&
                    i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
+            ++i;
+            opts.threads = parseThreads(
+                bench_name, std::string(arg) + " " + argv[i], argv[i]);
         } else if (std::strcmp(arg, "--selfprof") == 0) {
             opts.selfprof = true;
         } else if (std::strncmp(arg, "--timeline-interval=", 20) == 0) {
@@ -141,11 +163,9 @@ parseArgs(int &argc, char **argv, const char *bench_name)
                 bench_name, bench_name);
             std::exit(0);
         } else {
-            argv[kept++] = argv[i];
+            badFlag(bench_name, arg);
         }
     }
-    argc = kept;
-    argv[argc] = nullptr;
 
     if (opts.threads <= 0 && opts.threads != 1) {
         const unsigned hw = std::thread::hardware_concurrency();

@@ -66,6 +66,15 @@ class Sink
         }
     }
 
+    /** Whether the next add() for `rule` keeps its diagnostic. */
+    bool
+    keeps(const std::string &rule) const
+    {
+        const auto it = report_.rules.find(rule);
+        return it == report_.rules.end() ||
+               it->second.count < options_.maxDiagnosticsPerRule;
+    }
+
   private:
     Report &report_;
     const AnalyzerOptions &options_;
@@ -176,14 +185,20 @@ findExposedLatency(const tpc::Program &program,
                   return a.stall > b.stall;
               });
     for (const Candidate &c : candidates) {
-        const tpc::Instr &instr =
-            program.instrs()[static_cast<std::size_t>(c.index)];
         Diagnostic d;
         d.rule = rules::exposedLatency;
         d.severity = Severity::Warning;
         d.instrIndex = static_cast<std::int64_t>(c.index);
-        d.opLabel = program.label(instr.opLabel);
         d.costCycles = c.stall;
+        // Past the per-rule cap the sink only tallies count and cost:
+        // skip the strings it would discard.
+        if (!sink.keeps(d.rule)) {
+            sink.add(std::move(d));
+            continue;
+        }
+        const tpc::Instr &instr =
+            program.instrs()[static_cast<std::size_t>(c.index)];
+        d.opLabel = program.label(instr.opLabel);
         std::string producer = "an earlier value";
         if (c.src >= 0 &&
             def_index[static_cast<std::size_t>(c.src)] >= 0) {

@@ -43,6 +43,15 @@ class DiagnosticSink
         }
     }
 
+    /** Whether the next add() for `rule` keeps its diagnostic. */
+    bool
+    keeps(const std::string &rule) const
+    {
+        const auto it = report_.rules.find(rule);
+        return it == report_.rules.end() ||
+               it->second.count < maxPerRule_;
+    }
+
   private:
     Report &report_;
     int maxPerRule_;

@@ -61,13 +61,19 @@ passExposedLatency(PassContext &ctx)
                   return a.stall > b.stall;
               });
     for (const Candidate &c : candidates) {
-        const tpc::Instr &instr = program.instrs()[c.index];
         Diagnostic d;
         d.rule = rules::exposedLatency;
         d.severity = Severity::Warning;
         d.instrIndex = static_cast<std::int64_t>(c.index);
-        d.opLabel = program.label(instr.opLabel);
         d.costCycles = c.stall;
+        // Past the per-rule cap the sink only tallies count and cost:
+        // skip the strings it would discard.
+        if (!ctx.sink.keeps(d.rule)) {
+            ctx.sink.add(std::move(d));
+            continue;
+        }
+        const tpc::Instr &instr = program.instrs()[c.index];
+        d.opLabel = program.label(instr.opLabel);
         std::string producer = "an earlier value";
         if (c.src >= 0 &&
             ctx.ir.defIndex[static_cast<std::size_t>(c.src)] >= 0) {

@@ -54,12 +54,12 @@ struct SideEffectOp
     /// Kind::Deferred only. Some telemetry is not a plain accumulation
     /// but a mutation of order-dependent shared state (e.g. an
     /// attributed span advances its scope's lane cursor, and a
-    /// SelfProf charge lands in a shared ledger). Such an update made
-    /// on a worker thread would depend on the interleaving, so it is
-    /// logged as a closure instead and executed only at the
-    /// *outermost* replay: replay under an enclosing capture
-    /// re-appends the op rather than running it, so the closure always
-    /// runs serially, in task-index order.
+    /// timeline or engine-histogram publish appends to a shared
+    /// series). Such an update made on a worker thread would depend on
+    /// the interleaving, so it is logged as a closure instead and
+    /// executed only at the *outermost* replay: replay under an
+    /// enclosing capture re-appends the op rather than running it, so
+    /// the closure always runs serially, in task-index order.
     std::function<void()> fn;
 };
 

@@ -60,7 +60,8 @@ struct MetricsMeta
 {
     /** Producing binary ("bench_fig8_stream", "profile_step", ...). */
     std::string tool;
-    /** Optional google-benchmark results: name -> real time (ns). */
+    /** Optional bench-reported host results (bench_autotune's
+        `autotune.*` rates): the "benchmarks" section. */
     std::map<std::string, double> benchmarks;
     /** Optional settled self-profile (--selfprof): becomes the v2.1
         "host" section. Host wall times vary with the machine, and

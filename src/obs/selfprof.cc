@@ -1,7 +1,6 @@
 #include "obs/selfprof.h"
 
 #include "common/logging.h"
-#include "obs/capture.h"
 
 namespace vespera::obs {
 
@@ -88,19 +87,8 @@ SelfProf::setEnabled(bool on)
 void
 SelfProf::charge(SelfCat cat, std::uint64_t ns)
 {
-    // A worker-thread charge must not race the ledger or make the
-    // merged counts depend on interleaving: defer to the outermost
-    // replay, which runs serially in task-index order (obs/capture.h).
-    if (SideEffectLog *log = ScopedCapture::current()) {
-        log->appendDeferred([this, cat, ns]() { applyCharge(cat, ns); });
-    } else {
-        applyCharge(cat, ns);
-    }
-}
-
-void
-SelfProf::applyCharge(SelfCat cat, std::uint64_t ns)
-{
+    // Integer sums commute, so a worker-thread charge can land at once:
+    // the totals come out the same in any interleaving.
     std::lock_guard<std::mutex> lock(mu_);
     ledger_.ns[static_cast<std::size_t>(cat)] += ns;
     ledger_.calls[static_cast<std::size_t>(cat)] += 1;
@@ -115,17 +103,6 @@ SelfProf::recordAlloc(std::uint64_t bytes)
 void
 SelfProf::recordAlloc(SelfCat cat, std::uint64_t bytes)
 {
-    if (SideEffectLog *log = ScopedCapture::current()) {
-        log->appendDeferred(
-            [this, cat, bytes]() { applyAlloc(cat, bytes); });
-    } else {
-        applyAlloc(cat, bytes);
-    }
-}
-
-void
-SelfProf::applyAlloc(SelfCat cat, std::uint64_t bytes)
-{
     std::lock_guard<std::mutex> lock(mu_);
     ledger_.allocBytes[static_cast<std::size_t>(cat)] += bytes;
     ledger_.allocCount[static_cast<std::size_t>(cat)] += 1;
@@ -134,10 +111,6 @@ SelfProf::applyAlloc(SelfCat cat, std::uint64_t bytes)
 void
 SelfProf::cacheHit(const std::string &key)
 {
-    if (SideEffectLog *log = ScopedCapture::current()) {
-        log->appendDeferred([this, key]() { cacheHit(key); });
-        return;
-    }
     std::lock_guard<std::mutex> lock(mu_);
     cacheHits_++;
     cacheKeys_.insert(key);
@@ -146,10 +119,6 @@ SelfProf::cacheHit(const std::string &key)
 void
 SelfProf::cacheMiss(const std::string &key)
 {
-    if (SideEffectLog *log = ScopedCapture::current()) {
-        log->appendDeferred([this, key]() { cacheMiss(key); });
-        return;
-    }
     std::lock_guard<std::mutex> lock(mu_);
     cacheMisses_++;
     cacheKeys_.insert(key);

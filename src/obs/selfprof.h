@@ -16,12 +16,11 @@
  *    categories reproduce an observation window bit-for-bit — no
  *    floating-point residue to absorb (the harder half of
  *    AttribBreakdown::settle is unnecessary by construction).
- *  - Deterministic merge: charges made under an active
- *    obs::ScopedCapture (a runtime::Pool worker) are logged as
- *    Deferred ops and applied at the outermost replay, serially, in
- *    task-index order — so call/alloc counts and bytes are
- *    byte-identical at any thread count (wall times themselves are
- *    inherently machine- and run-dependent).
+ *  - Deterministic merge: every hook applies at once under one lock,
+ *    from any thread. Integer sums and set inserts commute, so
+ *    call/alloc counts and bytes are byte-identical at any thread
+ *    count (wall times themselves are inherently machine- and
+ *    run-dependent).
  *  - Disabled cost: a SelfTimer on a disabled profile is one relaxed
  *    atomic load, the same contract as obs::Profiler::enabled() —
  *    ctest-enforced at <1% of a single MME GEMM costing.
@@ -152,17 +151,13 @@ class SelfProf
     /** Enabling (re)opens the observation window settle() closes. */
     void setEnabled(bool on);
 
-    /**
-     * Charge `ns` of self time to `cat` (normally via SelfTimer).
-     * Under an active ScopedCapture the charge is deferred to the
-     * outermost replay, in task-index order.
-     */
+    /** Charge `ns` of self time to `cat` (normally via SelfTimer). */
     void charge(SelfCat cat, std::uint64_t ns);
 
     /**
      * Record one container-growth event, attributed to the innermost
      * active SelfTimer's category on this thread (SelfCat::Alloc when
-     * none). Capture-deferred like charge().
+     * none).
      */
     void recordAlloc(std::uint64_t bytes);
 
@@ -201,11 +196,6 @@ class SelfProf
     static SelfCat currentCat();
 
   private:
-    friend class SelfTimer;
-
-    void applyCharge(SelfCat cat, std::uint64_t ns);
-    void applyAlloc(SelfCat cat, std::uint64_t bytes);
-
     std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
     SelfLedger ledger_;

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
+
+#include "graph/replay_cache.h"
 #include "models/llama.h"
+#include "obs/counters.h"
+#include "obs/profiler.h"
 
 namespace vespera::models {
 namespace {
@@ -169,6 +176,52 @@ TEST(Llama, StepTimeGrowsWithContext)
     Seconds t2 = model.stepTime(DeviceKind::Gaudi2, 32, 1, 4096, false,
                                 cfg);
     EXPECT_GT(t2, t1);
+}
+
+/** Best wall time, in seconds, of `laps` default Figure-12 points. */
+double
+bestServeSeconds(const LlamaModel &model, int laps)
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (int lap = 0; lap < laps; ++lap) {
+        const auto begin = std::chrono::steady_clock::now();
+        (void)model.serve(DeviceKind::Gaudi2, LlamaServingConfig{});
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - begin;
+        best = std::min(best, took.count());
+    }
+    return best;
+}
+
+// The replay caches (graph/replay_cache.h) must carry the Figure-12
+// sweep point: a warm point runs at least 3x faster than the same
+// point with both memos off. Both halves run in one process, so the
+// ratio cancels machine speed and gates only the code.
+TEST(ReplayCache, WarmFig12PointAtLeast3xUncached)
+{
+    // The memos bypass themselves while the profiler traces.
+    ASSERT_FALSE(obs::Profiler::instance().enabled());
+    LlamaModel model(LlamaConfig::llama31_8b());
+    graph::nodeReplayCache().clear();
+    graph::stepReplayCache().clear();
+    (void)model.serve(DeviceKind::Gaudi2, LlamaServingConfig{});
+
+    // Deterministic half: a warm lap replays every step.
+    const obs::Counter &misses =
+        obs::CounterRegistry::instance().counter("replay.step.misses");
+    const double missesBefore = misses.value();
+    const double warm = bestServeSeconds(model, 5);
+    EXPECT_EQ(misses.value(), missesBefore);
+
+    double uncached = 0;
+    {
+        graph::ReplayCacheDisable offNodes(graph::nodeReplayCache());
+        graph::ReplayCacheDisable offSteps(graph::stepReplayCache());
+        uncached = bestServeSeconds(model, 5);
+    }
+    EXPECT_GE(uncached / warm, 3.0)
+        << "warm " << warm * 1e6 << " us, uncached " << uncached * 1e6
+        << " us";
 }
 
 } // namespace

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
+#include "analysis/analyzer.h"
+#include "analysis/kernel_registry.h"
+#include "analysis/static/static_analyzer.h"
+#include "common/logging.h"
 #include "common/rng.h"
+#include "graph/replay_cache.h"
 #include "kern/gemm.h"
 #include "kern/stream.h"
+#include "models/llama.h"
+#include "obs/counters.h"
+#include "obs/export.h"
 #include "obs/selfprof.h"
 #include "runtime/parallel.h"
 #include "runtime/pool.h"
+#include "serve/engine.h"
+#include "serve/trace.h"
 
 namespace vespera::obs {
 namespace {
@@ -173,8 +185,8 @@ TEST_F(SelfProfTest, SameCategoryNestingChargesOnce)
 TEST_F(SelfProfTest, ParallelFig5SweepSettles)
 {
     // The acceptance invariant under a parallel fig5-style sweep:
-    // worker charges defer through ScopedCapture, replay serially, and
-    // settle() still reproduces the total bitwise.
+    // worker charges land directly under the profile's lock (integer
+    // sums commute), and settle() still reproduces the total bitwise.
     runtime::Pool::setGlobalThreads(4);
     SelfProf::instance().setEnabled(true);
     const auto shapes = fig5Shapes();
@@ -196,7 +208,7 @@ TEST_F(SelfProfTest, CountsAreThreadCountInvariant)
 {
     // Wall times are machine noise, but scope counts, allocation
     // bytes, and allocation events must be byte-identical at any
-    // --threads (the capture-replay contract, docs/runtime.md).
+    // --threads (the determinism contract, docs/runtime.md).
     kern::StreamConfig cfg;
     cfg.op = kern::StreamOp::Triad;
     cfg.numElements = 1 << 16;
@@ -343,6 +355,129 @@ TEST_F(SelfProfTest, AllocAttributesToInnermostTimer)
     EXPECT_EQ(snap.ledger.allocCount
                   [static_cast<std::size_t>(SelfCat::EngineStep)],
               1u);
+}
+
+/**
+ * A fixed-work scenario over the serving engine, one Figure-12 sweep
+ * point and both analyzers, from cold replay caches: its self-profile
+ * counts and device counters depend only on the simulator's code.
+ */
+void
+runFixedScenario()
+{
+    graph::nodeReplayCache().clear();
+    graph::stepReplayCache().clear();
+
+    models::LlamaModel model(models::LlamaConfig::llama31_8b());
+
+    serve::EngineConfig ec;
+    ec.maxDecodeBatch = 8;
+    serve::Engine engine(model, ec);
+    engine.run(serve::makeFixedTrace(8, 128, 32));
+
+    models::LlamaServingConfig cfg;
+    model.serve(DeviceKind::Gaudi2, cfg);
+
+    analysis::registerBuiltinKernels();
+    for (const auto &t :
+         analysis::KernelRegistry::instance().traceAll("softmax")) {
+        analysis::analyzeProgram(t.program);
+        analysis::analyzeProgramStatic(t.program);
+    }
+}
+
+/**
+ * FNV-1a 64 over (name, value, peak, updates) of every updated counter
+ * a metrics document carries (obs::isHostTelemetry ones excluded), as
+ * 16 hex digits. Counters that other tests in this process registered
+ * but this run never updated are left out.
+ */
+std::string
+counterDigest()
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const CounterSnapshot &c :
+         CounterRegistry::instance().snapshot()) {
+        if (c.updates == 0 || isHostTelemetry(c.name))
+            continue;
+        const std::string line =
+            strfmt("%s=%a/%a/%llu;", c.name.c_str(), c.value, c.peak,
+                   static_cast<unsigned long long>(c.updates));
+        for (const char ch : line) {
+            h ^= static_cast<unsigned char>(ch);
+            h *= 0x100000001b3ull;
+        }
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+struct ScenarioCounts
+{
+    SelfSnapshot snap;
+    std::string digest;
+};
+
+ScenarioCounts
+runScenarioAt(int threads)
+{
+    runtime::Pool::setGlobalThreads(threads);
+    CounterRegistry::instance().reset();
+    SelfProf::instance().reset();
+    runFixedScenario();
+    return {SelfProf::instance().snapshot(), counterDigest()};
+}
+
+TEST_F(SelfProfTest, FixedScenarioCountsArePinned)
+{
+    // Exact pins, so a dropped or doubled SelfTimer, cache hook or
+    // device counter update fails here. After an intentional change,
+    // re-pin to the values the failure prints. telemetry_export is
+    // left out: only the bench harness charges it.
+    SelfProf::instance().setEnabled(true);
+    const ScenarioCounts serial = runScenarioAt(1);
+
+    constexpr std::array<std::uint64_t, kSelfCats> kCalls = {
+        75, // kernel_eval
+        48, // trace_record
+        8,  // graph_build
+        1,  // engine_step
+        0,  // alloc
+        0,  // telemetry_export (not pinned)
+        0,  // other
+    };
+    for (int c = 0; c < kSelfCats; ++c) {
+        const auto cat = static_cast<SelfCat>(c);
+        if (cat == SelfCat::TelemetryExport)
+            continue;
+        EXPECT_EQ(serial.snap.ledger.calls[static_cast<std::size_t>(c)],
+                  kCalls[static_cast<std::size_t>(c)])
+            << selfCatName(cat);
+    }
+    EXPECT_EQ(serial.snap.cacheHits, 74u);
+    EXPECT_EQ(serial.snap.cacheMisses, 45u);
+    EXPECT_EQ(serial.snap.cacheKeyCount, 45u);
+    EXPECT_EQ(serial.digest, "8258483c8336d18f");
+
+    // The counts, allocations and device counters do not depend on
+    // the thread count; the replay caches' hit/miss split may.
+    const ScenarioCounts parallel = runScenarioAt(4);
+    for (int c = 0; c < kSelfCats; ++c) {
+        const auto i = static_cast<std::size_t>(c);
+        const char *name = selfCatName(static_cast<SelfCat>(c));
+        EXPECT_EQ(parallel.snap.ledger.calls[i],
+                  serial.snap.ledger.calls[i])
+            << name;
+        EXPECT_EQ(parallel.snap.ledger.allocBytes[i],
+                  serial.snap.ledger.allocBytes[i])
+            << name;
+        EXPECT_EQ(parallel.snap.ledger.allocCount[i],
+                  serial.snap.ledger.allocCount[i])
+            << name;
+    }
+    EXPECT_EQ(parallel.digest, serial.digest);
 }
 
 } // namespace

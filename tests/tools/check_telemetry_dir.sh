@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# --telemetry-dir must derive <dir>/<bench>.{trace,metrics}.json, and
-# an unwritable --metrics path must turn into a nonzero bench exit
-# (ISSUE PR 4 satellites). Takes any bench binary.
+# The bench harness's flag contract (bench/bench_common.h):
+# --telemetry-dir derives <dir>/<bench>.{trace,metrics}.json,
+# --selfprof adds the "host" section, an unwritable --metrics path is
+# a nonzero exit, and an unknown flag or a non-integer --threads is a
+# usage error (exit 2). Takes any bench binary.
 #
 #   check_telemetry_dir.sh <path-to-bench-binary>
 set -u
@@ -34,5 +36,27 @@ if "$bench" --quiet \
     --metrics="$tmp/no-such-dir/metrics.json" 2> /dev/null; then
     fail "unwritable --metrics path exited 0"
 fi
+
+# 4. --selfprof adds the "host" section to a derived metrics export.
+mkdir "$tmp/selfprof"
+"$bench" --quiet --selfprof --telemetry-dir="$tmp/selfprof" 2> /dev/null \
+    || fail "$name exited nonzero with --selfprof --telemetry-dir"
+grep -q '"host"' "$tmp/selfprof/$name.metrics.json" \
+    || fail "missing host section under --selfprof"
+
+# 5. Bad flags are usage errors that name the offending argument.
+expect_usage_error() {
+    local want="$1"
+    shift
+    local err rc
+    err="$("$bench" --quiet "$@" 2>&1 > /dev/null)"
+    rc=$?
+    [ "$rc" -eq 2 ] || fail "$name $* exited $rc, want 2"
+    [ "$err" = "$name: unknown flag '$want' (see --help)" ] \
+        || fail "$name $* printed '$err'"
+}
+expect_usage_error --no-such-flag --no-such-flag
+expect_usage_error --threads=many --threads=many
+expect_usage_error "--threads 2x" --threads 2x
 
 echo "TELEMETRY_OK"

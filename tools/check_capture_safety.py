@@ -13,7 +13,8 @@ in the telemetry surface is NOT deferred:
   - Samples/record-style raw recording added by future telemetry;
   - obs::SelfProf window operations (settle / reset / setEnabled) and
     raw obs::SelfLedger mutation (merge / settle / reset) — the
-    *charge/alloc hooks* are capture-deferred, but the window control
+    *charge/alloc/cache hooks* apply at once under the profile's lock
+    from any thread (integer sums commute), but the window control
     and bare-ledger paths are serial-only by contract;
   - obs::Timeline singleton control (setEnabled / setInterval /
     setCapacity / addSlo / clearSlos / reset / publishRun) and
@@ -56,7 +57,7 @@ ALWAYS_UNSAFE = [
      "raw record() — not capture-deferred"),
     (re.compile(r"\bSelfProf::instance\(\)\s*\.\s*"
                 r"(?:settle|reset|setEnabled)\s*\("),
-     "SelfProf window control — serial-path only (charges defer, "
+     "SelfProf window control — serial-path only (charges commute, "
      "settle/reset/setEnabled do not)"),
     (re.compile(r"\bTimeline::instance\(\)\s*\.\s*"
                 r"(?:setEnabled|setInterval|setCapacity|addSlo|"
@@ -215,9 +216,9 @@ void f() {
     tpc::Program p = analysis::captureTrace([] {}); // serial: fine
     runtime::parallel_for(8, [&](std::size_t i) {
         reg.counter("ok.total").add(1.0); // capture-aware: deferred
-        obs::SelfProf::instance().charge( // capture-aware: deferred
+        obs::SelfProf::instance().charge( // locked, commutes: fine
             obs::SelfCat::KernelEval, 5);
-        obs::SelfProf::instance().recordAlloc(64); // deferred too
+        obs::SelfProf::instance().recordAlloc(64); // locked too
         rec.publish("run"); // capture-aware: deferred publish
         lat.add(3.0); // capture-ok: task-indexed slot, joined after
     });

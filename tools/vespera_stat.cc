@@ -14,10 +14,6 @@
  *                                  matching prefix wins; repeatable)
  *     --ignore=<prefix>            exclude matching metrics entirely
  *                                  (repeatable)
- *     --compare-benchmarks         also gate the wall-clock sections
- *                                  ("benchmarks" + "host"); pair with
- *                                  loose --threshold=benchmarks= etc.
- *                                  override — wall time is noisy
  *     --json                       machine-readable vespera-stat/v1
  *                                  report on stdout instead of text
  *
@@ -48,18 +44,9 @@
  *                                 docs' attrib.* counters normalize to
  *                                 the same keys, so v1 vs v2 works)
  *   histograms.<name>.<stat>      count/mean/p50/p90/p99/p999
- *   host.total_ns                 v2.1 self-profile (--selfprof runs):
- *   host.time.<cat>               self ns per category,
- *   host.calls.<cat>              scope entries per category,
- *   host.alloc.<cat>.{bytes,count} allocation telemetry,
- *   host.cache.kernel_eval.{hits,misses,key_count}
- *   benchmarks.<name>             google-benchmark median real ns
- * The "benchmarks" and "host" sections are wall-clock data and are
- * not compared by default: they vary with the machine, and the
- * simulated counters are the deterministic signal. The selfperf
- * trajectory job opts both in with --compare-benchmarks, gating the
- * machine-independent host *counts* tightly and the nanosecond
- * values with wide per-prefix thresholds.
+ * The "benchmarks" and "host" sections are host wall-clock data and
+ * are never compared: they vary with the machine, and the simulated
+ * counters are the deterministic signal.
  *
  * Any relative change beyond the threshold — in either direction — is
  * a regression: a counter that *dropped* 20% usually means lost
@@ -124,7 +111,6 @@ struct Config
     double threshold = 0.10;
     std::vector<PrefixThreshold> overrides;
     std::vector<std::string> ignores;
-    bool compareBenchmarks = false;
     bool jsonOut = false;
     std::string baselinePath;
     std::string candidatePath;
@@ -239,7 +225,7 @@ flattenMigrate(const Value &doc, std::map<std::string, double> &out)
 /** Flatten one metrics document into comparable dotted-name scalars. */
 bool
 flatten(const Value &doc, const std::string &path,
-        bool compare_benchmarks, std::map<std::string, double> &out)
+        std::map<std::string, double> &out)
 {
     const Value *schema = doc.find("schema");
     if (schema && schema->isString() &&
@@ -310,57 +296,6 @@ flatten(const Value &doc, const std::string &path,
             }
         }
     }
-    // The host self-profile is wall-clock data, same boat as the
-    // benchmarks section: only trajectory jobs that opted in via
-    // --compare-benchmarks should see (and gate) it.
-    if (const Value *host = doc.find("host");
-        compare_benchmarks && host && host->isObject()) {
-        if (const Value *v = host->find("total_ns");
-            v && v->isNumber())
-            out["host.total_ns"] = v->number();
-        for (const char *section : {"time", "calls"}) {
-            if (const Value *s = host->find(section);
-                s && s->isObject()) {
-                for (const auto &[cat, v] : s->object()) {
-                    if (v.isNumber())
-                        out[std::string("host.") + section + "." +
-                            cat] = v.number();
-                }
-            }
-        }
-        if (const Value *alloc = host->find("alloc");
-            alloc && alloc->isObject()) {
-            for (const auto &[cat, entry] : alloc->object()) {
-                for (const char *field : {"bytes", "count"}) {
-                    if (const Value *v = entry.find(field);
-                        v && v->isNumber())
-                        out["host.alloc." + cat + "." + field] =
-                            v->number();
-                }
-            }
-        }
-        if (const Value *cache = host->find("cache");
-            cache && cache->isObject()) {
-            for (const auto &[name, entry] : cache->object()) {
-                for (const char *field :
-                     {"hits", "misses", "key_count"}) {
-                    if (const Value *v = entry.find(field);
-                        v && v->isNumber())
-                        out["host.cache." + name + "." + field] =
-                            v->number();
-                }
-            }
-        }
-    }
-    if (compare_benchmarks) {
-        if (const Value *bm = doc.find("benchmarks");
-            bm && bm->isObject()) {
-            for (const auto &[name, v] : bm->object()) {
-                if (v.isNumber())
-                    out["benchmarks." + name] = v.number();
-            }
-        }
-    }
     return true;
 }
 
@@ -369,8 +304,8 @@ flatten(const Value &doc, const std::string &path,
  * so the caller can refuse to compare documents of different families.
  */
 bool
-loadDoc(const std::string &path, bool compare_benchmarks,
-        std::map<std::string, double> &out, std::string &schema)
+loadDoc(const std::string &path, std::map<std::string, double> &out,
+        std::string &schema)
 {
     std::string text;
     if (!vespera::readFile(path, text)) {
@@ -387,7 +322,7 @@ loadDoc(const std::string &path, bool compare_benchmarks,
     }
     if (const Value *s = doc.find("schema"); s && s->isString())
         schema = s->str();
-    return flatten(doc, path, compare_benchmarks, out);
+    return flatten(doc, path, out);
 }
 
 /** "vespera-metrics/v2.1" -> "vespera-metrics". */
@@ -410,8 +345,6 @@ usage()
         "(repeatable)\n"
         "  --ignore=<prefix>            skip matching metrics "
         "(repeatable)\n"
-        "  --compare-benchmarks         also gate wall-clock data "
-        "(benchmarks + host)\n"
         "  --json                       vespera-stat/v1 JSON report\n");
     return 2;
 }
@@ -769,8 +702,6 @@ main(int argc, char **argv)
             }
         } else if (std::strncmp(arg, "--ignore=", 9) == 0) {
             cfg.ignores.emplace_back(arg + 9);
-        } else if (std::strcmp(arg, "--compare-benchmarks") == 0) {
-            cfg.compareBenchmarks = true;
         } else if (std::strcmp(arg, "--json") == 0) {
             cfg.jsonOut = true;
         } else if (std::strcmp(arg, "--help") == 0 ||
@@ -792,10 +723,8 @@ main(int argc, char **argv)
 
     std::map<std::string, double> base, cand;
     std::string base_schema, cand_schema;
-    if (!loadDoc(cfg.baselinePath, cfg.compareBenchmarks, base,
-                 base_schema) ||
-        !loadDoc(cfg.candidatePath, cfg.compareBenchmarks, cand,
-                 cand_schema))
+    if (!loadDoc(cfg.baselinePath, base, base_schema) ||
+        !loadDoc(cfg.candidatePath, cand, cand_schema))
         return 2;
     // Versions of one family compare (v1 vs v2.x metrics); different
     // families share no keys, so a diff would only list every key as
