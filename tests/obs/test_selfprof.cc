@@ -3,7 +3,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "analysis/analyzer.h"
@@ -11,6 +10,7 @@
 #include "analysis/static/static_analyzer.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "digest.h"
 #include "graph/replay_cache.h"
 #include "kern/gemm.h"
 #include "kern/stream.h"
@@ -395,23 +395,17 @@ runFixedScenario()
 std::string
 counterDigest()
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = test::kFnv1aBasis;
     for (const CounterSnapshot &c :
          CounterRegistry::instance().snapshot()) {
         if (c.updates == 0 || isHostTelemetry(c.name))
             continue;
-        const std::string line =
-            strfmt("%s=%a/%a/%llu;", c.name.c_str(), c.value, c.peak,
-                   static_cast<unsigned long long>(c.updates));
-        for (const char ch : line) {
-            h ^= static_cast<unsigned char>(ch);
-            h *= 0x100000001b3ull;
-        }
+        h = test::fnv1a(strfmt("%s=%a/%a/%llu;", c.name.c_str(), c.value,
+                               c.peak,
+                               static_cast<unsigned long long>(c.updates)),
+                        h);
     }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return test::hex16(h);
 }
 
 struct ScenarioCounts
@@ -432,28 +426,36 @@ runScenarioAt(int threads)
 
 TEST_F(SelfProfTest, FixedScenarioCountsArePinned)
 {
-    // Exact pins, so a dropped or doubled SelfTimer, cache hook or
-    // device counter update fails here. After an intentional change,
-    // re-pin to the values the failure prints. telemetry_export is
-    // left out: only the bench harness charges it.
+    // Exact pins, so a dropped or doubled SelfTimer, cache hook,
+    // recorded allocation or device counter update fails here. After
+    // an intentional change, re-pin to the values the failure prints.
+    // telemetry_export is left out: only the bench harness charges it.
     SelfProf::instance().setEnabled(true);
     const ScenarioCounts serial = runScenarioAt(1);
 
-    constexpr std::array<std::uint64_t, kSelfCats> kCalls = {
-        75, // kernel_eval
-        48, // trace_record
-        8,  // graph_build
-        1,  // engine_step
-        0,  // alloc
-        0,  // telemetry_export (not pinned)
-        0,  // other
+    struct Pin
+    {
+        std::uint64_t calls, allocBytes, allocCount;
     };
+    constexpr std::array<Pin, kSelfCats> kPins = {{
+        {75, 0, 0},         // kernel_eval
+        {48, 3932160, 528}, // trace_record
+        {8, 0, 0},          // graph_build
+        {1, 0, 0},          // engine_step
+        {0, 0, 0},          // alloc
+        {0, 0, 0},          // telemetry_export (not pinned)
+        {0, 0, 0},          // other
+    }};
     for (int c = 0; c < kSelfCats; ++c) {
         const auto cat = static_cast<SelfCat>(c);
         if (cat == SelfCat::TelemetryExport)
             continue;
-        EXPECT_EQ(serial.snap.ledger.calls[static_cast<std::size_t>(c)],
-                  kCalls[static_cast<std::size_t>(c)])
+        const auto i = static_cast<std::size_t>(c);
+        EXPECT_EQ(serial.snap.ledger.calls[i], kPins[i].calls)
+            << selfCatName(cat);
+        EXPECT_EQ(serial.snap.ledger.allocBytes[i], kPins[i].allocBytes)
+            << selfCatName(cat);
+        EXPECT_EQ(serial.snap.ledger.allocCount[i], kPins[i].allocCount)
             << selfCatName(cat);
     }
     EXPECT_EQ(serial.snap.cacheHits, 74u);

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "analysis/kernel_registry.h"
+#include "digest.h"
 #include "port/corpus.h"
 #include "port/lower.h"
 #include "port/reference.h"
@@ -97,21 +98,6 @@ outputFingerprint(const CudaKernelDesc &desc, const PortRun &run)
         }
     }
     return os.str();
-}
-
-/** FNV-1a 64 of `s` as 16 hex digits: a short, exact pin. */
-std::string
-hexDigest(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 /** Every LaunchResult field, bit-exactly (`%a` for doubles). */
@@ -206,7 +192,7 @@ TEST(Reference, CorpusOutputsMatchParent)
         for (const std::vector<float> &b : ref.buffers)
             bytes.append(reinterpret_cast<const char *>(b.data()),
                          b.size() * sizeof(float));
-        const std::string got = hexDigest(bytes);
+        const std::string got = test::hexDigest(bytes);
         const auto it = pins.find(e.desc.name);
         EXPECT_TRUE(it != pins.end() && it->second == got)
             << "{\"" << e.desc.name << "\", \"" << got << "\"},";
@@ -233,8 +219,8 @@ TEST(Lowering, CorpusTraceAndOutputsMatchParent)
             run = lowerAndRun(e.desc, e.lower);
         }
         const std::string got =
-            hexDigest(traces + outputFingerprint(e.desc, run) +
-                      launchFingerprint(run.launch));
+            test::hexDigest(traces + outputFingerprint(e.desc, run) +
+                            launchFingerprint(run.launch));
         const auto it = pins.find(e.desc.name);
         EXPECT_TRUE(it != pins.end() && it->second == got)
             << "{\"" << e.desc.name << "\", \"" << got << "\"},";

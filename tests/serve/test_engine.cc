@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "digest.h"
 #include "obs/capture.h"
 #include "obs/counters.h"
 #include "runtime/pool.h"
@@ -434,15 +435,12 @@ goldenTrace()
 std::uint64_t
 eventDigest(const std::vector<EngineEvent> &events)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const EngineEvent &e : events) {
-        for (char ch : strfmt("%d|%a|%a|%d|%d;", static_cast<int>(e.kind),
-                              e.start, e.duration, e.decodeBatch,
-                              e.prefillTokens)) {
-            h ^= static_cast<unsigned char>(ch);
-            h *= 0x100000001b3ull;
-        }
-    }
+    std::uint64_t h = test::kFnv1aBasis;
+    for (const EngineEvent &e : events)
+        h = test::fnv1a(strfmt("%d|%a|%a|%d|%d;", static_cast<int>(e.kind),
+                               e.start, e.duration, e.decodeBatch,
+                               e.prefillTokens),
+                        h);
     return h;
 }
 
