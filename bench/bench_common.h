@@ -43,13 +43,15 @@
  *       return bench::finish(opts);
  *   }
  *
- * Any other flag, and a --threads value that is not an integer, is a
- * usage error: the bench exits 2 naming it.
+ * Any other flag, a --threads value that is not an integer, and a
+ * --timeline-interval value that is not a finite number >= 0 are
+ * usage errors: the bench exits 2 naming the flag.
  */
 
 #ifndef VESPERA_BENCH_COMMON_H
 #define VESPERA_BENCH_COMMON_H
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,6 +102,18 @@ parseThreads(const char *bench_name, const std::string &arg,
     return static_cast<int>(n);
 }
 
+/** `text` as a timeline interval in seconds: the whole of it must be a
+ *  finite number >= 0, or the flag `arg` is rejected. */
+inline double
+parseInterval(const char *bench_name, const char *arg, const char *text)
+{
+    char *end = nullptr;
+    const double sec = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(sec) || sec < 0)
+        badFlag(bench_name, arg);
+    return sec;
+}
+
 /**
  * Parse the harness flags. Enables the process profiler when a trace
  * was requested; redirects stdout to /dev/null under --quiet so
@@ -133,7 +147,8 @@ parseArgs(int argc, char **argv, const char *bench_name)
         } else if (std::strcmp(arg, "--selfprof") == 0) {
             opts.selfprof = true;
         } else if (std::strncmp(arg, "--timeline-interval=", 20) == 0) {
-            opts.timelineInterval = std::atof(arg + 20);
+            opts.timelineInterval =
+                parseInterval(bench_name, arg, arg + 20);
         } else if (std::strcmp(arg, "--quiet") == 0) {
             opts.quiet = true;
         } else if (std::strcmp(arg, "--help") == 0 ||

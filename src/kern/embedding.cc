@@ -214,14 +214,18 @@ EmbeddingLayerGaudi::runBatched(const std::vector<std::int64_t> &idx,
         lanes_, config_.vectorBytes, P, unroll, interleave,
         [](std::int64_t m) { return m; });
 
+    // A slice's trace depends only on its member count, P, unroll and
+    // interleave, never on the rows it gathers: the launch simulates
+    // one slice per distinct length.
     tpc::IndexSpace space;
     space.size = {1, members, 1, 1, 1};
     tpc::LaunchParams params;
     params.vectorBytes = std::min<Bytes>(config_.vectorBytes, 256);
     params.kernelName = "embedding_batched";
+    params.uniformSlices = true;
     auto launch = dispatcher().launch(kernel, space, params);
 
-    verify(idx, out);
+    verify(idx, out, dispatcher().planSlices(space, params), false);
 
     EmbeddingResult r;
     r.time = launch.time;
@@ -243,6 +247,16 @@ EmbeddingLayerGaudi::runPerTable(const std::vector<std::int64_t> &idx,
     const std::int64_t rows = config_.rowsPerTable;
 
     tpc::Tensor out({lanes_, B * T}, config_.dt);
+
+    // Every table's launch splits the samples the same way and, like
+    // the batched launch, simulates one slice per distinct length.
+    tpc::IndexSpace space;
+    space.size = {1, B, 1, 1, 1};
+    tpc::LaunchParams params;
+    params.vectorBytes = std::min<Bytes>(config_.vectorBytes, 256);
+    params.kernelName = unroll == sdkUnroll ? "embedding_sdk_single_table"
+                                            : "embedding_single_table";
+    params.uniformSlices = true;
 
     EmbeddingResult r;
     for (std::int64_t table = 0; table < T; table++) {
@@ -267,19 +281,12 @@ EmbeddingLayerGaudi::runPerTable(const std::vector<std::int64_t> &idx,
             lanes_, config_.vectorBytes, P, unroll, interleave,
             [T, table](std::int64_t s) { return s * T + table; });
 
-        tpc::IndexSpace space;
-        space.size = {1, B, 1, 1, 1};
-        tpc::LaunchParams params;
-        params.vectorBytes = std::min<Bytes>(config_.vectorBytes, 256);
-        params.kernelName = unroll == sdkUnroll
-                                ? "embedding_sdk_single_table"
-                                : "embedding_single_table";
         auto launch = dispatcher().launch(kernel, space, params);
         r.time += launch.time;
         r.kernelLaunches++;
     }
 
-    verify(idx, out);
+    verify(idx, out, dispatcher().planSlices(space, params), true);
 
     r.gatheredBytes =
         static_cast<Bytes>(B) * T * P * config_.vectorBytes;
@@ -290,13 +297,13 @@ EmbeddingLayerGaudi::runPerTable(const std::vector<std::int64_t> &idx,
 
 void
 EmbeddingLayerGaudi::verify(const std::vector<std::int64_t> &idx,
-                            const tpc::Tensor &out) const
+                            const tpc::Tensor &out,
+                            const tpc::SlicePlan &plan,
+                            bool per_table) const
 {
     const std::int64_t T = config_.numTables;
-    const std::int64_t B = config_.batch;
     const std::int64_t P = config_.pooling;
-    for (std::int64_t m = 0; m < B * T;
-         m += std::max<std::int64_t>(1, (B * T) / 64)) {
+    auto check = [&](std::int64_t m) {
         const std::int64_t table = m % T;
         float want = 0;
         for (std::int64_t p = 0; p < P; p++) {
@@ -309,6 +316,18 @@ EmbeddingLayerGaudi::verify(const std::vector<std::int64_t> &idx,
                 "embedding verification failed at member %lld: %f != %f",
                 static_cast<long long>(m), static_cast<double>(got),
                 static_cast<double>(want));
+    };
+    // Only simulated slices produce output. A per-table slice is a
+    // range of samples s, whose pooled outputs are members s*T + table.
+    for (const tpc::MemberRange &slice : plan.simulatedSlices()) {
+        for (std::int64_t i = slice.start[1]; i < slice.end[1]; i++) {
+            if (!per_table) {
+                check(i);
+                continue;
+            }
+            for (std::int64_t table = 0; table < T; table++)
+                check(i * T + table);
+        }
     }
 }
 

@@ -70,7 +70,10 @@ struct EmbeddingResult
  * Functional + timed embedding layer on the simulated Gaudi-2.
  * Construction materializes the (concatenated) embedding tables;
  * run() draws indices, executes the TPC kernels, and verifies the
- * pooled output against a reference.
+ * pooled output against a reference. The launches declare
+ * LaunchParams::uniformSlices, so only one slice per distinct slice
+ * length is simulated and produces output; verification covers every
+ * pooled output of those simulated slices, and only those.
  */
 class EmbeddingLayerGaudi
 {
@@ -95,8 +98,12 @@ class EmbeddingLayerGaudi
                                int unroll, int interleave) const;
     EmbeddingResult runPerTable(const std::vector<std::int64_t> &idx,
                                 int unroll, int interleave) const;
+    /** Check every pooled output of the slices `plan` simulates
+     *  against the reference sum; `per_table` when the plan splits
+     *  samples (one launch per table) rather than members. */
     void verify(const std::vector<std::int64_t> &idx,
-                const tpc::Tensor &out) const;
+                const tpc::Tensor &out, const tpc::SlicePlan &plan,
+                bool per_table) const;
 
     /// Deterministic content of table row `global_row`, lane 0.
     static float rowValue(std::int64_t global_row);

@@ -1,7 +1,6 @@
 #include "kern/stream.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -161,19 +160,14 @@ runStreamGaudi(const StreamConfig &config)
     params.vectorBytes = config.accessBytes;
     params.kernelName = std::string("stream_") + streamOpName(op);
     params.uniformSlices = true;
-    const tpc::SlicePlan plan = dispatcher.planSlices(space, params);
-    std::vector<std::pair<std::int64_t, std::int64_t>> ran;
-    for (int t = 0; t < params.numTpcs; t++) {
-        if (plan.simulated(t)) {
-            const tpc::MemberRange &s =
-                plan.slices[static_cast<std::size_t>(t)];
-            ran.emplace_back(s.start[1], s.end[1]);
-        }
-    }
+    const std::vector<tpc::MemberRange> ran =
+        dispatcher.planSlices(space, params).simulatedSlices();
 
     // Inputs over each simulated slice, plus the part of its last
     // vector that reads past the slice end.
-    for (const auto &[begin, end] : ran) {
+    for (const tpc::MemberRange &s : ran) {
+        const std::int64_t begin = s.start[1];
+        const std::int64_t end = s.end[1];
         const std::int64_t hi = std::min(end + lanes - 1, n);
         fillPattern(a, begin, hi, 251);
         fillPattern(b, begin, hi, 127);
@@ -183,7 +177,9 @@ runStreamGaudi(const StreamConfig &config)
 
     // Spot-verify functional output at the start, middle and last
     // element of every simulated slice.
-    for (const auto &[begin, end] : ran) {
+    for (const tpc::MemberRange &s : ran) {
+        const std::int64_t begin = s.start[1];
+        const std::int64_t end = s.end[1];
         for (const std::int64_t i :
              {begin, begin + (end - begin) / 2, end - 1}) {
             const float x = static_cast<float>(i % 251);

@@ -18,7 +18,14 @@
  * A kernel whose trace depends only on its slice's length declares
  * LaunchParams::uniformSlices; the launch then simulates one TPC per
  * distinct slice length and every other TPC reuses that outcome
- * (TpcDispatcher::planSlices names which TPCs run).
+ * (TpcDispatcher::planSlices names which TPCs run). Timing is
+ * address-blind — evaluatePipeline never reads an Instr's memOffset or
+ * memStream — so a kernel qualifies even when its addresses are
+ * data-dependent: STREAM, gather/scatter and both embedding launches
+ * declare it.
+ * AddressBlind.TimingIgnoresOffsetsAndStreamsOnEveryKernel
+ * (tests/analysis/test_address_blind.cc) pins that premise on every
+ * registered kernel.
  */
 
 #ifndef VESPERA_TPC_DISPATCHER_H
@@ -68,10 +75,13 @@ struct LaunchParams
     /// diagnostics name the offending kernel, not an instr index.
     std::string kernelName;
     /// Kernel-declared contract: the kernel's trace, up to memory
-    /// offsets, depends only on the slice's length along
-    /// `partitionDim`. The launch then simulates only the first TPC of
-    /// each distinct slice length (planSlices), so the kernel's
-    /// functional effects land in those slices alone.
+    /// offsets and streams, depends only on the slice's length along
+    /// `partitionDim`, so which data a slice touches never changes its
+    /// timing. The launch then simulates only the first TPC of each
+    /// distinct slice length (planSlices), so the kernel's functional
+    /// effects land in those slices alone: the kernel fills and
+    /// verifies just SlicePlan::simulatedSlices. Declared by STREAM,
+    /// gather/scatter and both embedding launches.
     bool uniformSlices = false;
 };
 
@@ -92,6 +102,19 @@ struct SlicePlan
     {
         const auto i = static_cast<std::size_t>(t);
         return representative[i] == t && !slices[i].empty();
+    }
+
+    /** The slices of the simulated TPCs, in TPC order: the only ones
+     *  a launch runs the kernel over, so the only ones whose data a
+     *  uniformSlices kernel fills and verifies. */
+    std::vector<MemberRange>
+    simulatedSlices() const
+    {
+        std::vector<MemberRange> ran;
+        for (std::size_t t = 0; t < slices.size(); t++)
+            if (simulated(static_cast<int>(t)))
+                ran.push_back(slices[t]);
+        return ran;
     }
 };
 

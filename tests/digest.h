@@ -9,8 +9,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+
+#include "common/logging.h"
+#include "obs/counters.h"
 
 namespace vespera::test {
 
@@ -42,6 +46,29 @@ inline std::string
 hexDigest(std::string_view s)
 {
     return hex16(fnv1a(s));
+}
+
+/**
+ * FNV-1a 64 over (name, value, peak, updates), bit for bit, of every
+ * updated counter whose name starts with one of `prefixes`, as 16 hex
+ * digits.
+ */
+inline std::string
+counterDigest(std::initializer_list<std::string_view> prefixes)
+{
+    std::uint64_t h = kFnv1aBasis;
+    for (const obs::CounterSnapshot &c :
+         obs::CounterRegistry::instance().snapshot()) {
+        bool match = false;
+        for (const std::string_view p : prefixes)
+            match = match || std::string_view(c.name).starts_with(p);
+        if (!match || c.updates == 0)
+            continue;
+        h = fnv1a(strfmt("%s=%a/%a/%llu;", c.name.c_str(), c.value, c.peak,
+                         static_cast<unsigned long long>(c.updates)),
+                  h);
+    }
+    return hex16(h);
 }
 
 } // namespace vespera::test

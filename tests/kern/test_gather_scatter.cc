@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "digest.h"
 #include "kern/gather_scatter.h"
+#include "obs/counters.h"
 
 namespace vespera::kern {
 namespace {
@@ -104,7 +106,9 @@ TEST(GatherScatter, DeeperUnrollHelps)
 
 // Gather and scatter at a small size, with repeated indices (fraction
 // 1 draws with replacement) and a ragged TPC split, against the bits
-// printed when every row of the array was filled. The gather run also
+// printed when every row of the array was filled and every TPC was
+// simulated; `counters` pins the tpc.* and attrib.tpc.* counters
+// (value, peak, update count) from that build. The gather run also
 // passes its own functional check of the gathered rows.
 TEST(Gather, SmallMatchesReference)
 {
@@ -115,20 +119,27 @@ TEST(Gather, SmallMatchesReference)
         double fraction;
         int numTpcs;
         const char *expected;
+        const char *counters;
     };
     const Case cases[] = {
         {false, 256, 1.0, 24,
-         "0x1.3e1bbf9f5194cp-18 768000 0x1.0dc4ab78a01e7p-4"},
+         "0x1.3e1bbf9f5194cp-18 768000 0x1.0dc4ab78a01e7p-4",
+         "ada3ecc749a86f7e"},
         {false, 64, 0.3, 7,
-         "0x1.433a86bc8437ap-18 57600 0x1.3e98069013221p-8"},
+         "0x1.433a86bc8437ap-18 57600 0x1.3e98069013221p-8",
+         "e597eaea490fb9fb"},
         {false, 2048, 0.05, 24,
-         "0x1.1cade8c9df96fp-18 307200 0x1.e2506b3787065p-6"},
+         "0x1.1cade8c9df96fp-18 307200 0x1.e2506b3787065p-6",
+         "cb29868fd77081ed"},
         {true, 256, 1.0, 24,
-         "0x1.383d8e899ef5p-18 768000 0x1.12d686fee14fep-4"},
+         "0x1.383d8e899ef5p-18 768000 0x1.12d686fee14fep-4",
+         "112dd54e95570745"},
         {true, 64, 0.3, 7,
-         "0x1.1a076152d6754p-18 57600 0x1.6d229bd1a3199p-8"},
+         "0x1.1a076152d6754p-18 57600 0x1.6d229bd1a3199p-8",
+         "cd746f730f88e09c"},
         {true, 2048, 0.05, 24,
-         "0x1.1b60378ae5d84p-18 307200 0x1.e4885f87ebf3fp-6"},
+         "0x1.1b60378ae5d84p-18 307200 0x1.e4885f87ebf3fp-6",
+         "5882a874537c24c5"},
     };
     Rng rng(9);
     for (const Case &k : cases) {
@@ -137,11 +148,14 @@ TEST(Gather, SmallMatchesReference)
         c.scatter = k.scatter;
         c.accessFraction = k.fraction;
         c.numTpcs = k.numTpcs;
+        obs::CounterRegistry::instance().reset();
         const GatherScatterResult r = runGatherScatterGaudi(c, rng);
         EXPECT_EQ(strfmt("%a %llu %a", r.time,
                          static_cast<unsigned long long>(r.usefulBytes),
                          r.hbmUtilization),
                   k.expected);
+        EXPECT_EQ(test::counterDigest({"tpc.", "attrib.tpc."}),
+                  k.counters);
     }
 }
 

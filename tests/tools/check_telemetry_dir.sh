@@ -2,8 +2,9 @@
 # The bench harness's flag contract (bench/bench_common.h):
 # --telemetry-dir derives <dir>/<bench>.{trace,metrics}.json,
 # --selfprof adds the "host" section, an unwritable --metrics path is
-# a nonzero exit, and an unknown flag or a non-integer --threads is a
-# usage error (exit 2). Takes any bench binary.
+# a nonzero exit, and an unknown flag, a non-integer --threads or a
+# non-numeric --timeline-interval is a usage error (exit 2). Takes any
+# bench binary.
 #
 #   check_telemetry_dir.sh <path-to-bench-binary>
 set -u
@@ -58,5 +59,11 @@ expect_usage_error() {
 expect_usage_error --no-such-flag --no-such-flag
 expect_usage_error --threads=many --threads=many
 expect_usage_error "--threads 2x" --threads 2x
+# A timeline interval must be a whole finite number >= 0: anything else
+# would otherwise silently turn timelines off.
+expect_usage_error --timeline-interval=abc --timeline-interval=abc
+expect_usage_error --timeline-interval=0.5s --timeline-interval=0.5s
+expect_usage_error --timeline-interval=-1 --timeline-interval=-1
+expect_usage_error --timeline-interval= --timeline-interval=
 
 echo "TELEMETRY_OK"
