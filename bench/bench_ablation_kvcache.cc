@@ -48,6 +48,8 @@ main(int argc, char **argv)
             Rng rng(31);
             return engine.run(serve::makeDynamicTrace(tc, rng));
         });
+    for (const serve::ServingMetrics &m : metrics)
+        serve::publish(m);
     for (std::size_t p = 0; p < policies.size(); p++) {
         for (std::size_t b = 0; b < max_batches.size(); b++) {
             const auto &m = metrics[p * max_batches.size() + b];

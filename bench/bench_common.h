@@ -77,8 +77,6 @@ struct Options
     int threads = 1;         ///< Runtime pool size this run used.
     /// Virtual-time sampling interval in simulated seconds; 0 = off.
     double timelineInterval = 0;
-    /** Bench-reported results (the `benchmarks` section). */
-    obs::MetricsMeta meta;
 };
 
 /** Exit 2 naming `arg`: the harness accepts no flag it cannot use. */
@@ -124,7 +122,6 @@ parseArgs(int argc, char **argv, const char *bench_name)
 {
     Options opts;
     opts.name = bench_name;
-    opts.meta.tool = bench_name;
 
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
@@ -225,7 +222,8 @@ finish(const Options &opts)
     int rc = 0;
     auto &registry = obs::CounterRegistry::instance();
 
-    obs::MetricsMeta meta = opts.meta;
+    obs::MetricsMeta meta;
+    meta.tool = opts.name;
     if (opts.selfprof) {
         {
             // The summary print is telemetry work on the host clock;

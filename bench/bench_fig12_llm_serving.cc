@@ -146,6 +146,7 @@ servingTimeline()
     tc.arrivalRate = 24; // bursty enough that queue depth moves
     Rng rng(2025);
     const auto m = engine.run(serve::makeDynamicTrace(tc, rng));
+    serve::publish(m);
     std::printf("makespan %.2fs  p99 TTFT %.3fs  goodput %.0f tok/s  "
                 "windows every %.3gs\n",
                 m.makespan, m.p99Ttft, m.throughputTokensPerSec,

@@ -174,6 +174,10 @@ endToEnd()
         pr.a100 = a100.run(trace);
         return pr;
     });
+    for (const PointResult &pr : points) {
+        serve::publish(pr.gaudi);
+        serve::publish(pr.a100);
+    }
     for (std::size_t i = 0; i < max_batches.size(); i++) {
         const auto &gm = points[i].gaudi;
         const auto &am = points[i].a100;

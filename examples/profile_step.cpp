@@ -100,6 +100,7 @@ main()
         obs::ScopedSpan span("engine.run");
         metrics = engine.run(serve::makeDynamicTrace(tc, rng));
     }
+    serve::publish(metrics);
     std::printf("\nServing run: %zu engine iterations, %.0f tok/s, "
                 "mean TTFT %.2f s\n",
                 engine.events().size(),

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/capture.h"
 #include "obs/counters.h"
 #include "obs/profiler.h"
 
@@ -99,6 +98,7 @@ int AttributionLedger::scope(const std::string &name)
 void AttributionLedger::charge(int scopeId, std::string opName,
                                const AttribBreakdown &b)
 {
+    Profiler &profiler = Profiler::instance();
     // Copy the counter pointers out under the lock: scopes_ may
     // reallocate on concurrent scope() registration, but the Counters
     // themselves are registry-owned and never move.
@@ -109,8 +109,34 @@ void AttributionLedger::charge(int scopeId, std::string opName,
         vassert(scopeId >= 0 &&
                     scopeId < static_cast<int>(scopes_.size()),
                 "unregistered attribution scope");
-        cats = scopes_[static_cast<std::size_t>(scopeId)].cats;
-        ops = scopes_[static_cast<std::size_t>(scopeId)].ops;
+        Scope &s = scopes_[static_cast<std::size_t>(scopeId)];
+        cats = s.cats;
+        ops = s.ops;
+        // The per-op span advances the scope's lane cursor in charge
+        // order. That order is the serial one at one thread; the trace
+        // file is outside the determinism contract, so parallel
+        // workers simply take their turn under the lock.
+        if (profiler.enabled()) {
+            AttributedSpan rec;
+            rec.scope = scopeId;
+            rec.name = opName;
+            rec.start = s.cursor;
+            rec.duration = b.sum();
+            rec.breakdown = b;
+            s.cursor += rec.duration;
+
+            SpanEvent e;
+            e.name = std::move(opName);
+            e.category = "attrib." + s.name;
+            e.group = TrackGroup::Device;
+            e.track = s.lane;
+            e.start = rec.start;
+            e.duration = rec.duration;
+            records_.push_back(std::move(rec));
+            profiler.nameTrack(TrackGroup::Device, s.lane,
+                               s.name + " attrib");
+            profiler.recordSpan(std::move(e));
+        }
     }
     // Aggregates ride the normal capture-aware counter path.
     for (int c = 0; c < kAttribCats; ++c) {
@@ -119,48 +145,6 @@ void AttributionLedger::charge(int scopeId, std::string opName,
             cats[static_cast<std::size_t>(c)]->add(v);
     }
     ops->add(1.0);
-
-    // Per-op span records mutate the scope's lane cursor — order-
-    // dependent state, so defer under capture.
-    if (!Profiler::instance().enabled())
-        return;
-    if (SideEffectLog *log = ScopedCapture::current()) {
-        log->appendDeferred(
-            [this, scopeId, name = std::move(opName), b]() mutable {
-                applySpan(scopeId, std::move(name), b);
-            });
-    } else {
-        applySpan(scopeId, std::move(opName), b);
-    }
-}
-
-void AttributionLedger::applySpan(int scopeId, std::string opName,
-                                  const AttribBreakdown &b)
-{
-    auto &profiler = Profiler::instance();
-    SpanEvent e;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        Scope &s = scopes_[static_cast<std::size_t>(scopeId)];
-        AttributedSpan rec;
-        rec.scope = scopeId;
-        rec.name = opName;
-        rec.start = s.cursor;
-        rec.duration = b.sum();
-        rec.breakdown = b;
-        s.cursor += rec.duration;
-        records_.push_back(rec);
-
-        e.name = std::move(opName);
-        e.category = "attrib." + s.name;
-        e.group = TrackGroup::Device;
-        e.track = s.lane;
-        e.start = rec.start;
-        e.duration = rec.duration;
-        profiler.nameTrack(TrackGroup::Device, s.lane,
-                           s.name + " attrib");
-    }
-    profiler.recordSpan(std::move(e));
 }
 
 std::vector<AttributedSpan> AttributionLedger::records() const

@@ -25,9 +25,12 @@
  *    charge order, not aligned to an engine/sweep timeline.
  *
  * Determinism: aggregate charges ride the normal Counter::add capture
- * path. The per-op span/lane-cursor mutation is order-dependent state,
- * so under an active ScopedCapture it is logged as a Deferred op and
- * runs at the outermost replay, serially, in task-index order.
+ * path, so the `attrib.*` counters are bit-identical at any thread
+ * count. Per-op spans are recorded at charge time, under the ledger
+ * mutex: at one thread that is the serial op order; parallel sweep
+ * workers append in the order they charge, which is fine because the
+ * trace file (wall-time host spans included) is outside the
+ * determinism contract.
  */
 
 #ifndef VESPERA_OBS_ATTRIB_H
@@ -135,7 +138,7 @@ class AttributionLedger
      * Charge one op. `b` must be settled (duration := b.sum()).
      * Aggregates go to the scope's counters (capture-aware); when the
      * process profiler is enabled, also appends an AttributedSpan and
-     * a matching profiler Device-lane span (deferred under capture).
+     * a matching profiler Device-lane span, at once.
      */
     void charge(int scopeId, std::string opName, const AttribBreakdown &b);
 
@@ -157,9 +160,6 @@ class AttributionLedger
         std::array<Counter *, kAttribCats> cats{};
         Counter *ops = nullptr;
     };
-
-    void applySpan(int scopeId, std::string opName,
-                   const AttribBreakdown &b);
 
     mutable std::mutex mu_;
     std::vector<Scope> scopes_;

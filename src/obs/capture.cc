@@ -8,6 +8,11 @@ namespace {
 thread_local SideEffectLog *t_capture = nullptr;
 } // namespace
 
+// A log entry is a counter update, never a closure: anything that is
+// not a plain accumulation is returned by value and published after
+// the join instead.
+static_assert(sizeof(SideEffectOp) <= 32);
+
 ScopedCapture::ScopedCapture(SideEffectLog &log) : prev_(t_capture)
 {
     t_capture = &log;
@@ -31,7 +36,7 @@ SideEffectLog::replay()
     // append to the log being drained.
     std::vector<SideEffectOp> ops = std::move(ops_);
     ops_.clear();
-    for (SideEffectOp &op : ops) {
+    for (const SideEffectOp &op : ops) {
         switch (op.kind) {
           case SideEffectOp::Kind::CounterAdd:
             static_cast<Counter *>(op.target)->add(
@@ -43,15 +48,6 @@ SideEffectLog::replay()
             break;
           case SideEffectOp::Kind::RateAdd:
             static_cast<RateMeter *>(op.target)->add(op.a, op.b);
-            break;
-          case SideEffectOp::Kind::Deferred:
-            // Keep propagating outward: the closure may read or write
-            // state shared across tasks, so it must only run at the
-            // outermost join, where replay is serial and index-ordered.
-            if (SideEffectLog *outer = ScopedCapture::current())
-                outer->append(std::move(op));
-            else
-                op.fn();
             break;
         }
     }

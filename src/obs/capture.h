@@ -20,16 +20,18 @@
  * simply appends to the outer log; nesting composes with no special
  * cases.
  *
- * Cost models return their costs instead of charging them, so their
- * memos (graph/replay_cache.h) need no capture.
+ * A log holds counter updates only. Order-dependent telemetry never
+ * enters it: cost models and the serving engine return their costs,
+ * histograms and timelines as values, and their callers publish them
+ * after the join, in index order (graph::Executor::fold,
+ * serve::publish). Attributed spans, which only the trace file shows,
+ * are recorded at charge time (obs/attrib.h).
  */
 
 #ifndef VESPERA_OBS_CAPTURE_H
 #define VESPERA_OBS_CAPTURE_H
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 namespace vespera::obs {
@@ -44,23 +46,12 @@ struct SideEffectOp
         CounterAdd, ///< Counter::add(a, b): b is the update count
         CounterSet, ///< Counter::set(a, b): b is the update count
         RateAdd,    ///< RateMeter::add(a, b)
-        Deferred,   ///< fn() — an order-dependent decision (see below)
     };
     Kind kind = Kind::CounterAdd;
     void *target = nullptr; ///< The Counter/RateMeter (never dangles:
                             ///< the registry owns them for process life).
     double a = 0;
     double b = 0;
-    /// Kind::Deferred only. Some telemetry is not a plain accumulation
-    /// but a mutation of order-dependent shared state (e.g. an
-    /// attributed span advances its scope's lane cursor, and a
-    /// timeline or engine-histogram publish appends to a shared
-    /// series). Such an update made on a worker thread would depend on
-    /// the interleaving, so it is logged as a closure instead and
-    /// executed only at the *outermost* replay: replay under an
-    /// enclosing capture re-appends the op rather than running it, so
-    /// the closure always runs serially, in task-index order.
-    std::function<void()> fn;
 };
 
 /**
@@ -76,16 +67,7 @@ class SideEffectLog
      */
     void replay();
 
-    void append(SideEffectOp op) { ops_.push_back(std::move(op)); }
-
-    /** Log an order-dependent decision to run at the outermost replay. */
-    void appendDeferred(std::function<void()> fn)
-    {
-        SideEffectOp op;
-        op.kind = SideEffectOp::Kind::Deferred;
-        op.fn = std::move(fn);
-        ops_.push_back(std::move(op));
-    }
+    void append(SideEffectOp op) { ops_.push_back(op); }
 
   private:
     std::vector<SideEffectOp> ops_;

@@ -37,7 +37,7 @@ Counter::add(double v, std::uint64_t updates)
         return;
     if (SideEffectLog *log = ScopedCapture::current()) {
         log->append({SideEffectOp::Kind::CounterAdd, this, v,
-                     static_cast<double>(updates), {}});
+                     static_cast<double>(updates)});
         return;
     }
     atomicAdd(value_, v);
@@ -52,7 +52,7 @@ Counter::set(double v, std::uint64_t updates)
         return;
     if (SideEffectLog *log = ScopedCapture::current()) {
         log->append({SideEffectOp::Kind::CounterSet, this, v,
-                     static_cast<double>(updates), {}});
+                     static_cast<double>(updates)});
         return;
     }
     value_.store(v, std::memory_order_relaxed);
@@ -78,7 +78,7 @@ void
 RateMeter::add(double amount, Seconds dt)
 {
     if (SideEffectLog *log = ScopedCapture::current()) {
-        log->append({SideEffectOp::Kind::RateAdd, this, amount, dt, {}});
+        log->append({SideEffectOp::Kind::RateAdd, this, amount, dt});
         return;
     }
     atomicAdd(total_, amount);

@@ -150,8 +150,8 @@ class CounterRegistry
      * Get-or-create a streaming latency histogram (obs/hist.h).
      * Unlike counters, Histogram mutation is NOT thread-safe or
      * capture-deferred: publish into registry histograms from the
-     * serial path only, or via a capture Deferred op the way
-     * serve::Engine merges its per-run histograms.
+     * serial path only, the way serve::publish merges the histograms
+     * a sweep's Engine::run calls returned, in sweep-index order.
      */
     Histogram &histogram(const std::string &name);
 

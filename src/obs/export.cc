@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -234,13 +235,6 @@ metricsJson(const CounterRegistry &registry, const MetricsMeta &meta)
         rates[r->name()] = json::Value::makeObject(std::move(entry));
     }
     root["rates"] = json::Value::makeObject(std::move(rates));
-
-    if (!meta.benchmarks.empty()) {
-        std::map<std::string, json::Value> bm;
-        for (const auto &[name, ns] : meta.benchmarks)
-            bm[name] = json::Value::makeNumber(ns);
-        root["benchmarks"] = json::Value::makeObject(std::move(bm));
-    }
 
     // v2.1 "host" section (--selfprof): the simulator's own settled
     // wall-time attribution, allocation telemetry, and kernel-eval

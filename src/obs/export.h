@@ -16,7 +16,6 @@
 #define VESPERA_OBS_EXPORT_H
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <string_view>
 
@@ -60,9 +59,6 @@ struct MetricsMeta
 {
     /** Producing binary ("bench_fig8_stream", "profile_step", ...). */
     std::string tool;
-    /** Optional bench-reported host results (bench_autotune's
-        `autotune.*` rates): the "benchmarks" section. */
-    std::map<std::string, double> benchmarks;
     /** Optional settled self-profile (--selfprof): becomes the v2.1
         "host" section. Host wall times vary with the machine, and
         cache hit/miss splits vary with --threads, so the section is

@@ -16,11 +16,12 @@
  * derived invariants like mean <= p99 stable when the exact collector
  * is swapped for the streaming one.
  *
- * Thread-safety: none. Mutate a Histogram from the serial path only,
- * or defer the mutation through an obs::ScopedCapture log the way
- * serve::Engine publishes its per-run histograms (merge order affects
- * the bits of `sum()`, so replay must be index-ordered — the same
- * determinism contract counters follow, docs/runtime.md).
+ * Thread-safety: none. Mutate a shared Histogram from the serial path
+ * only. A parallel task keeps its own histograms and returns them by
+ * value; the caller merges them after the join, in index order, the
+ * way serve::publish lands Engine::run's histograms (merge order
+ * affects the bits of `sum()` — the same determinism contract
+ * counters follow, docs/runtime.md).
  */
 
 #ifndef VESPERA_OBS_HIST_H

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/capture.h"
 #include "obs/profiler.h"
 
 namespace vespera::obs {
@@ -142,20 +141,6 @@ TimelineRunData TimelineRecorder::snapshot() const
     return data;
 }
 
-void TimelineRecorder::publish(std::string label)
-{
-    // Self-contained by-value payload: the closure may outlive the
-    // recorder (deferred replay happens after the producer run's state
-    // is gone). Mirrors the engine's histogram publish.
-    auto pub = [label = std::move(label), data = snapshot()]() {
-        Timeline::instance().publishRun(label, data);
-    };
-    if (SideEffectLog *log = ScopedCapture::current())
-        log->appendDeferred(std::move(pub));
-    else
-        pub();
-}
-
 // ---------------------------------------------------------------------------
 // Timeline
 
@@ -213,7 +198,7 @@ void Timeline::publishRun(const std::string &label,
                           const TimelineRunData &data)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // publishRun is serial by the capture-deferred contract, so the
+    // publishRun runs on the serial path in sweep-index order, so the
     // counter yields the same "runN" sequence at any thread count.
     const std::string run =
         label.empty() ? strfmt("run%llu",

@@ -22,12 +22,11 @@
  *    producer's serial decision path (the engine scheduler), never
  *    from inside a parallel region — `tools/check_capture_safety.py`
  *    lints for this.
- *  - Publication into the process-wide Timeline singleton is
- *    capture-deferred exactly like the engine's histogram publish:
- *    under an active ScopedCapture the publish becomes a Deferred op
- *    replayed in task-index order, so runs launched from a parallel
- *    sweep land in the singleton in a deterministic order and with
- *    deterministic auto-assigned labels.
+ *  - A producer returns its run's payload by value (snapshot(); the
+ *    engine hands it back in ServingMetrics). Publication into the
+ *    process-wide Timeline singleton happens on the serial path after
+ *    the sweep, in sweep-index order, so runs land in a deterministic
+ *    order and with deterministic auto-assigned labels.
  *
  * When the Timeline is disabled (the default), producers skip recorder
  * creation entirely; the steady-state cost is one relaxed atomic load
@@ -109,8 +108,8 @@ struct SloResult
 
 /**
  * The publishable payload of one producer run: self-contained by
- * value, so the capture-deferred publish closure stays valid after the
- * recorder (and its owning run state) is gone.
+ * value, so it outlives the recorder (and its owning run state) and
+ * can be returned to the caller that publishes it.
  */
 struct TimelineRunData
 {
@@ -166,14 +165,7 @@ class TimelineRecorder
         boundary). */
     void closeFinal(Seconds t);
 
-    /**
-     * Publish into Timeline::instance() under `label` (empty: the
-     * singleton assigns a deterministic "runN"). Capture-deferred when
-     * a ScopedCapture is active. Call at most once, after the run.
-     */
-    void publish(std::string label);
-
-    /** The payload publish() would send (exposed for tests). */
+    /** The run's payload, for Timeline::publishRun. */
     TimelineRunData snapshot() const;
 
   private:
@@ -201,9 +193,10 @@ class TimelineRecorder
  * Process-wide timeline store and configuration. Configuration
  * (enable/interval/capacity/SLOs) is set from the serial path before
  * producers run — check_capture_safety.py flags configuration calls
- * inside parallel regions. Data arrives via publishRun(), which is
- * serial by the capture-deferred contract; accessors take a mutex so
- * exporters may read concurrently with nothing in flight.
+ * inside parallel regions. Data arrives via publishRun(), called from
+ * the serial path after a sweep (check_capture_safety.py flags it
+ * inside parallel regions too); accessors take a mutex so exporters
+ * may read concurrently with nothing in flight.
  */
 class Timeline
 {

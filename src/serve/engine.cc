@@ -286,10 +286,10 @@ Engine::RunState::tlSample(Seconds t, Seconds len)
             static_cast<double>(generated_total - w_goodput_base) /
                 len);
     w_goodput_base = generated_total;
-    tl->set(g_ttft_p99, ttft.diff(ttft_prev).percentile(99));
-    ttft_prev = ttft;
-    tl->set(g_tpot_p99, tpot.diff(tpot_prev).percentile(99));
-    tpot_prev = tpot;
+    tl->set(g_ttft_p99, m.ttft.diff(ttft_prev).percentile(99));
+    ttft_prev = m.ttft;
+    tl->set(g_tpot_p99, m.tpot.diff(tpot_prev).percentile(99));
+    tpot_prev = m.tpot;
 
     // Busy fractions. A step is charged whole to the window containing
     // its start, so a fraction can exceed 1 when steps outlast the
@@ -317,7 +317,8 @@ Engine::RunState::tlFinish()
         tlSample(clock, clock - tl->windowStart());
         tl->closeFinal(clock);
     }
-    tl->publish(eng.config_.timelineLabel);
+    m.timeline = tl->snapshot();
+    m.timelineLabel = eng.config_.timelineLabel;
 }
 
 std::int64_t
@@ -427,7 +428,7 @@ Engine::RunState::finishPrefill(std::size_t idx)
     }
     if (r.firstTokenTime < 0) {
         r.firstTokenTime = clock;
-        ttft.add(clock - r.arrival);
+        m.ttft.add(clock - r.arrival);
     }
     if (r.generated > delivered[idx]) {
         delivered[idx] = r.generated;
@@ -656,8 +657,8 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
             if (requestFinished(r)) {
                 r.finishTime = clock;
                 if (r.outputLen > 1) {
-                    tpot.add((r.finishTime - r.firstTokenTime) /
-                             (r.outputLen - 1));
+                    m.tpot.add((r.finishTime - r.firstTokenTime) /
+                               (r.outputLen - 1));
                 }
                 if (flow_trace) {
                     flowSpan(r, "decode",
@@ -710,9 +711,9 @@ Engine::RunState::finalize()
     m.makespan = clock;
     m.throughputTokensPerSec =
         static_cast<double>(generated_total) / clock;
-    m.meanTtft = ttft.mean();
-    m.p99Ttft = ttft.percentile(99);
-    m.meanTpot = tpot.mean();
+    m.meanTtft = m.ttft.mean();
+    m.p99Ttft = m.ttft.percentile(99);
+    m.meanTpot = m.tpot.mean();
     m.completed = static_cast<int>(trace.size());
     m.avgDecodeBatch =
         decode_steps ? batch_sum / static_cast<double>(decode_steps)
@@ -741,28 +742,23 @@ Engine::RunState::finalize()
     registry.counter("engine.mean_tpot_seconds").set(m.meanTpot);
     registry.counter("engine.avg_decode_batch").set(m.avgDecodeBatch);
 
-    // Publish the full latency distributions. Histogram::merge is not
-    // capture-aware like Counter::set, so when this run executes on a
-    // sweep worker (bench_fig17_vllm) the merge is deferred to the
-    // outermost replay — serial, in task-index order — keeping the
-    // registry histograms bit-identical at any thread count.
-    auto publish_hists = [ttft = ttft, tpot = tpot]() {
-        auto &reg = obs::CounterRegistry::instance();
-        reg.histogram("engine.ttft_seconds").merge(ttft);
-        reg.histogram("engine.tpot_seconds").merge(tpot);
-    };
-    if (obs::SideEffectLog *log = obs::ScopedCapture::current())
-        log->appendDeferred(publish_hists);
-    else
-        publish_hists();
-
-    // Flush and publish the virtual-time timeline. Same deferral
-    // story: publish() captures a self-contained payload and lands it
-    // in the Timeline singleton at the outermost replay, so sweep
-    // workers produce deterministic labels and ordering.
+    // The latency histograms and the timeline are order-dependent
+    // shared state, so they travel back in the result; the caller
+    // lands them with publish() after its sweep.
     if (tl)
         tlFinish();
-    return m;
+    return std::move(m);
+}
+
+void
+publish(const ServingMetrics &m)
+{
+    auto &reg = obs::CounterRegistry::instance();
+    reg.histogram("engine.ttft_seconds").merge(m.ttft);
+    reg.histogram("engine.tpot_seconds").merge(m.tpot);
+    if (m.timeline)
+        obs::Timeline::instance().publishRun(m.timelineLabel,
+                                             *m.timeline);
 }
 
 ServingMetrics

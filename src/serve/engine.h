@@ -22,10 +22,13 @@
 #define VESPERA_SERVE_ENGINE_H
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "models/llama.h"
+#include "obs/hist.h"
+#include "obs/timeline.h"
 #include "serve/kv_cache.h"
 #include "serve/trace.h"
 
@@ -100,7 +103,14 @@ struct EngineEvent
     int prefillTokens = 0;
 };
 
-/** Serving-level metrics (Figure 17(d,e) y-axes). */
+/**
+ * Serving-level metrics (Figure 17(d,e) y-axes), plus the run's
+ * order-dependent telemetry. A run never writes its latency histograms
+ * or timeline into shared state; publish() does, on the caller's
+ * serial path, so a parallel sweep publishes its points in index order
+ * after the join and the registry comes out the same at any thread
+ * count.
+ */
 struct ServingMetrics
 {
     Seconds makespan = 0;
@@ -111,7 +121,21 @@ struct ServingMetrics
     int completed = 0;
     int preemptions = 0;
     double avgDecodeBatch = 0; ///< Mean running batch per decode step.
+    /// Streaming latency distributions (fixed memory at any trace
+    /// length); publish() merges them into engine.{ttft,tpot}_seconds.
+    obs::Histogram ttft, tpot;
+    /// The run's virtual-time series, present when the Timeline was
+    /// enabled; publish() lands them under timelineLabel.
+    std::optional<obs::TimelineRunData> timeline;
+    std::string timelineLabel;
 };
+
+/**
+ * Land one run's histograms and timeline in the process-wide registry
+ * and Timeline. Serial path only: call it after a sweep, once per run,
+ * in sweep-index order.
+ */
+void publish(const ServingMetrics &m);
 
 /** The engine. */
 class Engine

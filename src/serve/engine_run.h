@@ -31,7 +31,10 @@
  * iteration with no arrival and no preemption does no ordering work.
  *
  * Step telemetry (engine.* and kv.blocks_in_use) is tallied here and
- * published once, by finalize(), with the per-step update counts.
+ * published once, by finalize(), with the per-step update counts. The
+ * latency histograms and the timeline payload are not published here:
+ * they accumulate in the returned ServingMetrics, and the caller lands
+ * them with serve::publish().
  *
  * This header is internal to src/serve; public consumers use
  * serve/engine.h.
@@ -72,7 +75,7 @@ struct Engine::RunState
     void fullIteration();
     /// @}
 
-    /** Computes ServingMetrics and publishes end-of-run telemetry. */
+    /** Computes ServingMetrics and publishes the end-of-run counters. */
     ServingMetrics finalize();
 
     /// @name Helpers shared by the phases.
@@ -116,7 +119,7 @@ struct Engine::RunState
     /** Charge one step's busy time / HBM traffic to the current
         window (the window containing the step's start). */
     void tlBusy(const StepCost &c);
-    /** Flush trailing windows and publish (capture-deferred). */
+    /** Flush trailing windows into m.timeline. */
     void tlFinish();
     /// @}
 
@@ -134,8 +137,8 @@ struct Engine::RunState
 
     Seconds clock = 0;
     std::int64_t generated_total = 0;
-    /// Streaming histograms: fixed memory at any trace length.
-    obs::Histogram ttft, tpot;
+    /// The result; its streaming ttft/tpot histograms fill as
+    /// requests progress.
     ServingMetrics m;
     double batch_sum = 0;
     std::int64_t decode_steps = 0;

@@ -10,6 +10,7 @@
 #include "kern/gemm.h"
 #include "mem/hbm.h"
 #include "obs/attrib.h"
+#include "obs/capture.h"
 #include "obs/counters.h"
 #include "obs/profiler.h"
 #include "runtime/pool.h"
@@ -105,6 +106,55 @@ TEST(Attrib, ChargeFeedsCountersWithoutProfiler)
     // Per-op spans are trace-only; nothing recorded while disabled.
     for (const auto &rec : ledger.records())
         EXPECT_NE(rec.scope, sc);
+}
+
+// Under a sweep worker's capture the span is recorded at charge time;
+// only the attrib.* counters, which the determinism contract covers,
+// wait for the log's replay.
+TEST(Attrib, ChargeUnderCaptureRecordsSpanAndDefersCounters)
+{
+    auto &ledger = AttributionLedger::instance();
+    auto &reg = CounterRegistry::instance();
+    Profiler &profiler = Profiler::instance();
+    profiler.clear();
+    profiler.setEnabled(true);
+    ledger.clearRecords();
+
+    const int sc = ledger.scope("test_scope_capture");
+    Counter &compute = reg.counter("attrib.test_scope_capture.compute");
+    Counter &ops = reg.counter("attrib.test_scope_capture.ops");
+    const double compute0 = compute.value();
+    const double ops0 = ops.value();
+    AttribBreakdown b;
+    b[AttribCat::Compute] = 3e-3;
+    b.settle(AttribCat::ExposedLat, 4e-3);
+
+    SideEffectLog log;
+    {
+        ScopedCapture capture(log);
+        ledger.charge(sc, "captured op", b);
+    }
+    profiler.setEnabled(false);
+
+    const auto recs = ledger.records();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].scope, sc);
+    EXPECT_EQ(recs[0].name, "captured op");
+    EXPECT_EQ(recs[0].start, 0.0);
+    EXPECT_EQ(recs[0].duration, b.sum());
+    int lane_spans = 0;
+    for (const auto &sp : profiler.spans())
+        lane_spans += sp.category == "attrib.test_scope_capture" ? 1 : 0;
+    EXPECT_EQ(lane_spans, 1);
+    EXPECT_EQ(compute.value(), compute0);
+    EXPECT_EQ(ops.value(), ops0);
+
+    log.replay();
+    EXPECT_EQ(compute.value() - compute0, 3e-3);
+    EXPECT_EQ(ops.value() - ops0, 1.0);
+    EXPECT_EQ(ledger.records().size(), 1u);
+    profiler.clear();
+    ledger.clearRecords();
 }
 
 // The Fig. 5 sweep: every shape the figure evaluates, on both the MME

@@ -6,17 +6,18 @@
 #include <vector>
 
 #include "kern/gemm.h"
-#include "obs/capture.h"
 #include "obs/hist.h"
 #include "obs/timeline.h"
 
 namespace vespera::obs {
 namespace {
 
-// The tentpole contract (ISSUE): virtual-time series are a pure
-// function of the simulated schedule — fixed-memory rings, windowed
-// reset semantics, first-violation SLO stamps, capture-deferred
-// publication — and cost one relaxed atomic load per run when off.
+// The timeline contract: virtual-time series are a pure function of
+// the simulated schedule — fixed-memory rings, windowed reset
+// semantics, first-violation SLO stamps, by-value run payloads — and
+// cost one relaxed atomic load per run when off. Publication order
+// across a parallel sweep is covered by EngineGolden.*
+// (tests/serve/test_engine.cc).
 
 class TimelineTest : public ::testing::Test
 {
@@ -137,49 +138,6 @@ TEST_F(TimelineTest, SloRecordsFirstViolationOnly)
     ok.set(ok.gaugeId("lat"), 2.0);
     ok.closeWindow();
     EXPECT_FALSE(ok.snapshot().slos[0].violated);
-}
-
-TEST_F(TimelineTest, PublishIsCaptureDeferredWithDeterministicLabels)
-{
-    auto &tl = Timeline::instance();
-    tl.setEnabled(true);
-
-    auto make = [](double v) {
-        TimelineRecorder rec(1.0, 64, {});
-        rec.set(rec.gaugeId("g"), v);
-        rec.closeWindow();
-        return rec;
-    };
-
-    SideEffectLog log_a, log_b;
-    {
-        // "Task 1" publishes before "task 0" — the wall-clock order a
-        // racy parallel sweep could produce.
-        TimelineRecorder a = make(1.0);
-        TimelineRecorder b = make(2.0);
-        {
-            ScopedCapture cap(log_b);
-            b.publish("");
-        }
-        {
-            ScopedCapture cap(log_a);
-            a.publish("");
-        }
-        // Nothing lands until replay, and the recorders may die first:
-        // the deferred payload is self-contained by value.
-        EXPECT_FALSE(tl.hasData());
-    }
-    // Replay in task-index order, as the runtime join does.
-    log_a.replay();
-    log_b.replay();
-
-    const auto series = tl.series();
-    ASSERT_EQ(series.size(), 2u);
-    // Labels follow *replay* order, so they are thread-count-invariant.
-    EXPECT_EQ(series[0].name, "run0.g");
-    EXPECT_DOUBLE_EQ(series[0].samples[0].value, 1.0);
-    EXPECT_EQ(series[1].name, "run1.g");
-    EXPECT_DOUBLE_EQ(series[1].samples[0].value, 2.0);
 }
 
 TEST_F(TimelineTest, SingletonFloodGuardDropsWholeSeries)

@@ -9,6 +9,7 @@
 #include "digest.h"
 #include "obs/capture.h"
 #include "obs/counters.h"
+#include "obs/timeline.h"
 #include "runtime/pool.h"
 #include "runtime/sweep.h"
 #include "serve/engine.h"
@@ -484,8 +485,17 @@ TEST_F(EngineGolden, LiveMatchesReference)
     }
 }
 
-// Run-end publication under a sweep worker's capture: nothing lands in
-// the registry until replay(), which then leaves the live state.
+std::uint64_t
+ttftPublished()
+{
+    const obs::Histogram *h =
+        obs::CounterRegistry::instance().findHistogram("engine.ttft_seconds");
+    return h ? h->count() : 0;
+}
+
+// Run-end publication under a sweep worker's capture: no counter lands
+// in the registry until replay(), which then leaves the live state. The
+// histograms travel in the result and land only at publish().
 TEST_F(EngineGolden, CapturedThenReplayedMatchesReference)
 {
     for (const GoldenScenario &s : kGolden) {
@@ -504,32 +514,71 @@ TEST_F(EngineGolden, CapturedThenReplayedMatchesReference)
         EXPECT_EQ(steps->updates(), 0u);
         log.replay();
         EXPECT_EQ(goldenDoc(m, eventDigest(engine.events())), s.expected);
+        EXPECT_EQ(ttftPublished(), 0u);
+        publish(m);
+        EXPECT_EQ(ttftPublished(), m.ttft.count());
+        EXPECT_EQ(m.ttft.count(), 48u);
     }
 }
 
-// The scenarios as one parallel sweep: counter state after the sweep
-// equals the serial sweep's at 4 threads (replay in index order).
+// The scenarios as one parallel sweep, published in index order after
+// the join: counter state, registry histograms and timeline series
+// equal the serial sweep's at 4 threads.
 TEST_F(EngineGolden, ParallelSweepMatchesSerial)
 {
-    struct PoolGuard
+    obs::Timeline &tl = obs::Timeline::instance();
+    struct Guard
     {
-        ~PoolGuard() { runtime::Pool::setGlobalThreads(1); }
+        ~Guard()
+        {
+            runtime::Pool::setGlobalThreads(1);
+            obs::Timeline::instance().setEnabled(false);
+            obs::Timeline::instance().reset();
+            obs::Timeline::instance().setInterval(1.0);
+        }
     } guard;
+    tl.setInterval(0.5);
+    tl.setEnabled(true);
     auto sweep = [&](int threads) {
         runtime::Pool::setGlobalThreads(threads);
         obs::CounterRegistry::instance().reset();
+        tl.reset();
         runtime::SweepRunner runner("test.engine_golden");
         const std::size_t n = std::size(kGolden);
-        auto makespans = runner.mapIndex(n, [&](std::size_t i) {
+        auto results = runner.mapIndex(n, [&](std::size_t i) {
             Engine engine(model_, goldenConfig(kGolden[i]));
-            return engine.run(goldenTrace()).makespan;
+            return engine.run(goldenTrace());
         });
         std::string doc;
-        for (Seconds t : makespans)
-            doc += strfmt("%a ", t);
-        return doc + goldenDoc(ServingMetrics{}, 0);
+        for (const ServingMetrics &m : results) {
+            doc += strfmt("%a ", m.makespan);
+            publish(m);
+        }
+        doc += goldenDoc(ServingMetrics{}, 0);
+        for (const char *name :
+             {"engine.ttft_seconds", "engine.tpot_seconds"}) {
+            const obs::Histogram *h =
+                obs::CounterRegistry::instance().findHistogram(name);
+            if (h == nullptr) {
+                ADD_FAILURE() << name << " not published";
+                continue;
+            }
+            doc += strfmt(" %s=%llu/%a/%a/%a", name,
+                          static_cast<unsigned long long>(h->count()),
+                          h->sum(), h->percentile(50), h->percentile(99));
+        }
+        for (const auto &series : tl.series()) {
+            doc += " " + series.name;
+            for (const obs::TimelineSample &smp : series.samples)
+                doc += strfmt("|%a,%a", smp.t, smp.value);
+        }
+        return doc;
     };
     const std::string serial = sweep(1);
+    // Every scenario's run is in the document: labels run0..run<n-1>.
+    EXPECT_NE(serial.find(strfmt(" run%zu.queue_depth|",
+                                 std::size(kGolden) - 1)),
+              std::string::npos);
     EXPECT_EQ(sweep(4), serial);
 }
 

@@ -264,6 +264,7 @@ class EngineEquivTest : public ::testing::Test
         obs::Timeline::instance().reset();
         Engine engine(model_, s.cfg);
         const ServingMetrics m = engine.run(s.trace);
+        publish(m);
         if (events_out != nullptr)
             *events_out = engine.events();
         return canonicalDoc(m);

@@ -44,9 +44,9 @@
  *                                 docs' attrib.* counters normalize to
  *                                 the same keys, so v1 vs v2 works)
  *   histograms.<name>.<stat>      count/mean/p50/p90/p99/p999
- * The "benchmarks" and "host" sections are host wall-clock data and
- * are never compared: they vary with the machine, and the simulated
- * counters are the deterministic signal.
+ * The "host" section is host wall-clock data and is never compared:
+ * it varies with the machine, and the simulated counters are the
+ * deterministic signal.
  *
  * Any relative change beyond the threshold — in either direction — is
  * a regression: a counter that *dropped* 20% usually means lost
