@@ -138,12 +138,15 @@ runStreamGaudi(const StreamConfig &config)
                                               : ctx.v_mul_s(r, 1.0f);
                 }
             }
+            // The slice's last vector may reach past its end, into the
+            // next TPC's slice: predicate its tail off, so concurrently
+            // simulated slices never write the same elements.
             for (std::size_t u = 0; u < rs.size(); u++) {
                 const std::int64_t at =
                     d + static_cast<std::int64_t>(u) * lanes;
                 tpc::Int5 coord{at, 0, 0, 0, 0};
                 ctx.v_st_tnsr(coord, op == StreamOp::Scale ? b : c,
-                              rs[u]);
+                              rs[u], tpc::Access::Stream, end - at);
             }
         }
     };
@@ -163,14 +166,12 @@ runStreamGaudi(const StreamConfig &config)
     const std::vector<tpc::MemberRange> ran =
         dispatcher.planSlices(space, params).simulatedSlices();
 
-    // Inputs over each simulated slice, plus the part of its last
-    // vector that reads past the slice end.
+    // Inputs over each simulated slice. The lanes of a slice's last
+    // vector that read past its end are never stored, so their data
+    // does not matter.
     for (const tpc::MemberRange &s : ran) {
-        const std::int64_t begin = s.start[1];
-        const std::int64_t end = s.end[1];
-        const std::int64_t hi = std::min(end + lanes - 1, n);
-        fillPattern(a, begin, hi, 251);
-        fillPattern(b, begin, hi, 127);
+        fillPattern(a, s.start[1], s.end[1], 251);
+        fillPattern(b, s.start[1], s.end[1], 127);
     }
 
     auto launch = dispatcher.launch(kernel, space, params);

@@ -36,7 +36,19 @@ constexpr const char *opNames[] = {
 void
 TpcContext::setOpLabel(std::string_view label)
 {
-    userLabel_ = label.empty() ? -1 : program_.internLabel(label);
+    if (label.empty()) {
+        userLabel_ = -1;
+        return;
+    }
+    if (userLabel_ >= 0 && program_.label(userLabel_) == label)
+        return;
+    const auto addr = reinterpret_cast<std::uintptr_t>(label.data());
+    LabelSlot &slot = labelCache_[(addr ^ (addr >> 4)) % labelCache_.size()];
+    if (slot.text != label.data() || program_.label(slot.index) != label) {
+        slot.text = label.data();
+        slot.index = program_.internLabel(label);
+    }
+    userLabel_ = slot.index;
 }
 
 std::int16_t
@@ -98,12 +110,14 @@ TpcContext::v_ld_tnsr(const Int5 &coord, const Tensor &t, Bytes bytes,
 
 void
 TpcContext::v_st_tnsr(const Int5 &coord, Tensor &t, const Vec &v,
-                      Access access)
+                      Access access, std::int64_t lane_limit)
 {
     vassert(v.id >= 0, "storing an uninitialized vector");
     const std::int64_t base = t.flatten(coord);
-    const std::int64_t limit =
+    std::int64_t limit =
         std::min<std::int64_t>(v.laneCount(), t.numElements() - base);
+    if (lane_limit >= 0)
+        limit = std::min(limit, lane_limit);
     std::copy_n(v.lanes.data(), limit, t.range(base, limit));
 
     Instr instr;
@@ -518,8 +532,8 @@ TpcContext::v_ld_local(std::int64_t elem_offset, int lanes)
             localMemoryBytes_, "local memory read out of bounds");
     Vec v;
     v.id = program_.newValue();
-    v.lanes.assign(localMem_.begin() + elem_offset,
-                   localMem_.begin() + elem_offset + lanes);
+    v.lanes.assign(localMem_.data() + elem_offset,
+                   localMem_.data() + elem_offset + lanes);
 
     Instr instr;
     instr.slot = Slot::Load;

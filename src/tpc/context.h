@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "tpc/lanes.h"
 #include "tpc/program.h"
 #include "tpc/tensor.h"
 
@@ -35,7 +36,7 @@ namespace vespera::tpc {
 struct Vec
 {
     std::int32_t id = -1;
-    std::vector<float> lanes;
+    LaneBuffer lanes;
 
     int laneCount() const { return static_cast<int>(lanes.size()); }
 };
@@ -86,9 +87,16 @@ class TpcContext
     Vec v_ld_tnsr(const Int5 &coord, const Tensor &t, Bytes bytes = 0,
                   Access access = Access::Stream);
 
-    /** Store the vector starting at `coord`; clamped at the tensor end. */
+    /**
+     * Store the vector starting at `coord`; clamped at the tensor end.
+     * A `lane_limit` >= 0 writes only the first `lane_limit` lanes, the
+     * predicated tail store that keeps a TPC inside its own slice. The
+     * instruction still moves the whole vector either way, so the
+     * limit changes neither the trace nor its timing.
+     */
     void v_st_tnsr(const Int5 &coord, Tensor &t, const Vec &v,
-                   Access access = Access::Stream);
+                   Access access = Access::Stream,
+                   std::int64_t lane_limit = -1);
     /// @}
 
     /// @name Vector ALU intrinsics (one VLIW vector-slot issue each).
@@ -155,7 +163,10 @@ class TpcContext
     /**
      * Tag subsequently recorded instructions with a kernel phase label
      * (e.g. "phase2:exp-sum") instead of the default intrinsic name.
-     * Pass "" to revert to intrinsic-name labels.
+     * Pass "" to revert to intrinsic-name labels. Kernels call this
+     * once per phase per loop trip, so the label in use, or one seen
+     * before at the same address, resolves without the program's
+     * interning scan.
      */
     void setOpLabel(std::string_view label);
     /// @}
@@ -192,6 +203,15 @@ class TpcContext
     std::int16_t userLabel_ = -1;
     std::array<std::int16_t, static_cast<std::size_t>(Op::Count)>
         opLabels_;
+    /// setOpLabel's direct-mapped cache: label text address -> index.
+    /// A hit is confirmed by one text compare, so a reused address
+    /// holding other text only costs a re-intern.
+    struct LabelSlot
+    {
+        const char *text = nullptr;
+        std::int16_t index = -1;
+    };
+    std::array<LabelSlot, 16> labelCache_{};
     /// Tensors in first-touch order; the i-th has stream id i + 2
     /// (1 is reserved for local memory). Kernels touch a handful.
     std::vector<const void *> streams_;

@@ -92,7 +92,7 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
     std::uint64_t random_accesses = 0;
     double chip_concurrency = 0;
 
-    // One TPC engine's slice: build the trace, time it.
+    // One TPC engine's slice: record it and time it in one pass.
     struct TpcOutcome
     {
         bool active = false;
@@ -102,16 +102,20 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
     };
     auto simulateTpc = [&](int t) {
         TpcOutcome out;
-        // The trace is transient — recorded, evaluated, discarded —
-        // so it bump-allocates from this thread's scratch arena. Not
-        // when an observer is registered: the observer may copy the
+        // Every recorded instruction issues straight into the
+        // evaluator, whose scoreboard bump-allocates from this
+        // thread's scratch arena. The trace itself is kept only for an
+        // observer, and then on the heap: the observer may copy the
         // program into storage that outlives this scope (the kernel
-        // trace registry does), and those copies must be heap-backed.
+        // trace registry does), so no arena is bound while one is
+        // installed.
+        const bool observed = static_cast<bool>(traceObserver());
         std::optional<mem::ScopedArena> arena;
-        if (!traceObserver())
+        if (!observed)
             arena.emplace(mem::Arena::scratch());
 
-        Program program;
+        PipelineEvaluator eval(params.tpc);
+        Program program(eval, observed);
         program.setKernelName(params.kernelName);
         TpcContext ctx(program, plan.slices[static_cast<std::size_t>(t)],
                        params.vectorBytes);
@@ -121,12 +125,12 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
         }
         if (program.empty())
             return out;
-        if (traceObserver())
+        if (observed)
             traceObserver()(program, t);
 
         {
             obs::SelfTimer self(obs::SelfCat::KernelEval);
-            out.pr = evaluatePipeline(program, params.tpc);
+            out.pr = eval.finish(program.flops());
         }
         out.usefulBytes = program.streamBytes() + program.randomBytes();
         out.localHighWater = ctx.localHighWater();

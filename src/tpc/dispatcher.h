@@ -5,8 +5,16 @@
  * Mirrors the Gaudi runtime's index-space distribution (Section 2.2):
  * the workload's index space is partitioned along one dimension across
  * the chip's 24 TPCs; each TPC executes the same kernel over its slice.
- * The dispatcher runs each TPC's trace through the pipeline model and
- * combines per-TPC times with the chip-level HBM bandwidth bound.
+ * The dispatcher times each TPC's instruction stream with the pipeline
+ * model and combines per-TPC times with the chip-level HBM bandwidth
+ * bound.
+ *
+ * Recording and timing are one pass: every instruction a kernel
+ * records issues straight into a PipelineEvaluator (Program's
+ * evaluator sink), so a launch stores no Instr trace. The trace is
+ * kept only while a trace observer is installed (vespera-lint, the
+ * kernel trace registry, perfbench's capture), and then it is the
+ * trace the evaluator timed.
  *
  * When the runtime pool is parallel (bench `--threads N`), each TPC
  * engine simulates its slice on its own worker; the chip-level
@@ -135,7 +143,9 @@ struct LaunchResult
 
 /**
  * Observer invoked with every per-TPC Program the dispatcher records
- * (simulated TPCs only, see SlicePlan), before timing evaluation. Used
+ * (simulated TPCs only, see SlicePlan), once the kernel has run and
+ * before the evaluator's finish(). While one is installed, and only
+ * then, the dispatcher keeps each program's Instr trace. Used
  * by the static analyzer / vespera-lint to capture kernel traces
  * without changing kernel entry points. No synchronization is
  * provided: installing an observer forces the dispatcher onto its

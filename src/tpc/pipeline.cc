@@ -1,7 +1,6 @@
 #include "tpc/pipeline.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/logging.h"
 #include "obs/counters.h"
@@ -57,115 +56,126 @@ resultLatency(const Instr &instr, const TpcParams &params)
     return 0;
 }
 
+PipelineEvaluator::PipelineEvaluator(const TpcParams &params,
+                                     IssueTrace *trace)
+    : params_(params), trace_(trace),
+      sampling_(obs::Profiler::instance().enabled())
+{
+    vassert(params.clock > 0 && params.granule > 0, "bad TPC parameters");
+    if (trace_ != nullptr) {
+        trace_->instrs.clear();
+        trace_->drainStall = 0;
+    }
+}
+
+void
+PipelineEvaluator::issue(const Instr &instr)
+{
+    double t = lastIssue_;
+    StallCause cause = StallCause::None;
+    std::int32_t critical_src = -1;
+    if (slotFree_[static_cast<int>(instr.slot)] > t) {
+        t = slotFree_[static_cast<int>(instr.slot)];
+        cause = StallCause::SlotBusy;
+    }
+    for (std::int32_t src : {instr.src0, instr.src1, instr.src2}) {
+        const auto i = static_cast<std::size_t>(src);
+        if (src >= 0 && i < ready_.size() && ready_[i] > t) {
+            t = ready_[i];
+            cause = StallCause::Dependency;
+            critical_src = src;
+        }
+    }
+
+    const double result_latency = resultLatency(instr, params_);
+
+    if (isGlobalMemAccess(instr)) {
+        // Global memory: every access moves whole granules through
+        // the per-TPC memory interface at a bounded sustained rate.
+        const std::uint64_t txns =
+            (instr.memBytes + params_.granule - 1) / params_.granule;
+        if (memNextFree_ > t) {
+            t = memNextFree_;
+            cause = StallCause::Memory;
+            critical_src = -1;
+        }
+        memNextFree_ = t + txns * params_.memIssueIntervalCycles;
+        r_.busBytes += txns * params_.granule;
+        if (instr.access == Access::Random) {
+            r_.randomTxns += txns;
+            r_.randomAccesses++;
+        }
+    }
+
+    if (instr.dst >= 0) {
+        const auto i = static_cast<std::size_t>(instr.dst);
+        if (i >= ready_.size())
+            ready_.resize(std::max(i + 1, 2 * ready_.size()), 0.0);
+        ready_[i] = t + result_latency;
+    }
+
+    // Cycles between the previous issue and this one in which no
+    // instruction entered the pipeline are stalls.
+    const double stall = t > lastIssue_ + 1 ? t - lastIssue_ - 1 : 0;
+    r_.stallCycles += stall;
+    if (trace_ != nullptr) {
+        IssuedInstr rec;
+        rec.issueCycle = t;
+        rec.stallCycles = stall;
+        rec.cause = stall > 0 ? cause : StallCause::None;
+        rec.criticalSrc =
+            rec.cause == StallCause::Dependency ? critical_src : -1;
+        trace_->instrs.push_back(rec);
+    }
+    r_.instructions++;
+    if (sampling_ && ++sinceSample_ >= 64) {
+        sinceSample_ = 0;
+        obs::Profiler::instance().sample("tpc.stall_cycles",
+                                         t / params_.clock, r_.stallCycles);
+    }
+
+    slotFree_[static_cast<int>(instr.slot)] = t + 1;
+    lastIssue_ = t;
+    completion_ = std::max(completion_, t + std::max(result_latency, 1.0));
+}
+
+PipelineResult
+PipelineEvaluator::finish(Flops flops)
+{
+    PipelineResult r = r_;
+    r.cycles = std::max(completion_, memNextFree_);
+    // Drain time past the last issue also counts as stall.
+    const double drain = std::max(0.0, r.cycles - lastIssue_ - 1);
+    r.stallCycles += drain;
+    if (trace_ != nullptr && r.instructions > 0)
+        trace_->drainStall = drain;
+    r.time = r.cycles / params_.clock;
+    r.flops = flops;
+    if (r.cycles > 0) {
+        r.memConcurrency = static_cast<double>(r.randomAccesses) *
+                           params_.loadLatencyRandom / r.cycles;
+    }
+    if (sampling_) {
+        obs::Profiler::instance().sample("tpc.stall_cycles",
+                                         r.cycles / params_.clock,
+                                         r.stallCycles);
+    }
+    return r;
+}
+
 PipelineResult
 evaluatePipeline(const Program &program, const TpcParams &params,
                  IssueTrace *trace)
 {
-    vassert(params.clock > 0 && params.granule > 0, "bad TPC parameters");
-    if (trace != nullptr) {
-        trace->instrs.clear();
+    // The scoreboard's ready times are transient: bump them from this
+    // thread's scratch arena.
+    mem::ScopedArena scratch(mem::Arena::scratch());
+    PipelineEvaluator eval(params, trace);
+    if (trace != nullptr)
         trace->instrs.reserve(program.instrs().size());
-        trace->drainStall = 0;
-    }
-
-    // Per-SSA-value ready times.
-    std::vector<double> ready(static_cast<std::size_t>(program.numValues()),
-                              0.0);
-    double slot_free[numSlots] = {0, 0, 0, 0};
-    double mem_next_free = 0;   ///< Global-memory interface availability.
-    double last_issue = 0;      ///< In-order constraint.
-    double completion = 0;
-
-    PipelineResult r;
-
-    // Counter-track sampling of cumulative stall cycles (only when a
-    // trace was requested; one check per call, not per instruction).
-    obs::Profiler &profiler = obs::Profiler::instance();
-    const bool sampling = profiler.enabled();
-    const std::size_t sample_every = 64;
-    std::size_t since_sample = 0;
-
-    for (const Instr &instr : program.instrs()) {
-        double t = last_issue;
-        StallCause cause = StallCause::None;
-        std::int32_t critical_src = -1;
-        if (slot_free[static_cast<int>(instr.slot)] > t) {
-            t = slot_free[static_cast<int>(instr.slot)];
-            cause = StallCause::SlotBusy;
-        }
-        for (std::int32_t src : {instr.src0, instr.src1, instr.src2}) {
-            if (src >= 0 && ready[static_cast<std::size_t>(src)] > t) {
-                t = ready[static_cast<std::size_t>(src)];
-                cause = StallCause::Dependency;
-                critical_src = src;
-            }
-        }
-
-        const double result_latency = resultLatency(instr, params);
-
-        if (isGlobalMemAccess(instr)) {
-            // Global memory: every access moves whole granules through
-            // the per-TPC memory interface at a bounded sustained rate.
-            const std::uint64_t txns =
-                (instr.memBytes + params.granule - 1) / params.granule;
-            if (mem_next_free > t) {
-                t = mem_next_free;
-                cause = StallCause::Memory;
-                critical_src = -1;
-            }
-            mem_next_free = t + txns * params.memIssueIntervalCycles;
-            r.busBytes += txns * params.granule;
-            if (instr.access == Access::Random) {
-                r.randomTxns += txns;
-                r.randomAccesses++;
-            }
-        }
-
-        if (instr.dst >= 0)
-            ready[static_cast<std::size_t>(instr.dst)] = t + result_latency;
-
-        // Cycles between the previous issue and this one in which no
-        // instruction entered the pipeline are stalls.
-        const double stall = t > last_issue + 1 ? t - last_issue - 1 : 0;
-        r.stallCycles += stall;
-        if (trace != nullptr) {
-            IssuedInstr rec;
-            rec.issueCycle = t;
-            rec.stallCycles = stall;
-            rec.cause = stall > 0 ? cause : StallCause::None;
-            rec.criticalSrc =
-                rec.cause == StallCause::Dependency ? critical_src : -1;
-            trace->instrs.push_back(rec);
-        }
-        r.instructions++;
-        if (sampling && ++since_sample >= sample_every) {
-            since_sample = 0;
-            profiler.sample("tpc.stall_cycles", t / params.clock,
-                            r.stallCycles);
-        }
-
-        slot_free[static_cast<int>(instr.slot)] = t + 1;
-        last_issue = t;
-        completion = std::max(completion, t + std::max(result_latency, 1.0));
-    }
-
-    r.cycles = std::max(completion, mem_next_free);
-    // Drain time past the last issue also counts as stall.
-    const double drain = std::max(0.0, r.cycles - last_issue - 1);
-    r.stallCycles += drain;
-    if (trace != nullptr && !program.instrs().empty())
-        trace->drainStall = drain;
-    r.time = r.cycles / params.clock;
-    r.flops = program.flops();
-    if (r.cycles > 0) {
-        r.memConcurrency = static_cast<double>(r.randomAccesses) *
-                           params.loadLatencyRandom / r.cycles;
-    }
-    if (sampling) {
-        profiler.sample("tpc.stall_cycles", r.cycles / params.clock,
-                        r.stallCycles);
-    }
-    return r;
+    for (const Instr &instr : program.instrs())
+        eval.issue(instr);
+    return eval.finish(program.flops());
 }
 
 void

@@ -2,18 +2,27 @@
  * @file
  * VLIW timing model for a single TPC.
  *
- * Replays a recorded Program trace under the TPC's issue rules:
+ * Times a TPC's instruction stream under the TPC's issue rules:
  * in-order issue, one instruction per VLIW slot per cycle, a 4-cycle
  * architectural latency on vector results (the paper's motivation for
  * loop unrolling), and a global-memory interface that moves data in
  * 256 B granules at a bounded per-TPC rate.
+ *
+ * The rules live in one place, PipelineEvaluator, which takes the
+ * stream one instruction at a time. evaluatePipeline feeds it a stored
+ * trace; the TPC dispatcher feeds it each instruction as the kernel
+ * records it (Program's evaluator sink), so a launch keeps no trace
+ * unless a trace observer asks for one.
  */
 
 #ifndef VESPERA_TPC_PIPELINE_H
 #define VESPERA_TPC_PIPELINE_H
 
+#include <vector>
+
 #include "common/types.h"
 #include "hw/device_spec.h"
+#include "mem/arena.h"
 #include "tpc/program.h"
 
 namespace vespera::tpc {
@@ -99,9 +108,53 @@ struct IssueTrace
 };
 
 /**
- * Evaluate the trace under the timing model. When `trace` is non-null
- * it is filled with the per-instruction issue schedule. Pure: no
- * counter moves (while the Profiler traces, it still samples the
+ * The timing model as an online scoreboard. issue() applies the issue
+ * rules to the next instruction of one TPC's stream; finish() closes
+ * the stream and returns its PipelineResult. Only the scoreboard is
+ * kept, never the instructions: per-value ready times, which grow on
+ * demand from the arena current at construction (the dispatcher's
+ * thread scratch arena, or the heap when none is bound), plus the
+ * per-slot and memory-interface free times.
+ *
+ * When `trace` is non-null it receives one IssuedInstr per issue() and
+ * the drain stall at finish(). Pure like evaluatePipeline: no counter
+ * moves (while the Profiler traces, issue() samples the
+ * `tpc.stall_cycles` track).
+ */
+class PipelineEvaluator
+{
+  public:
+    explicit PipelineEvaluator(const TpcParams &params,
+                               IssueTrace *trace = nullptr);
+
+    /** Issue the next instruction of the stream. */
+    void issue(const Instr &instr);
+
+    /** Close the stream: drain, and stamp the program's `flops`. */
+    PipelineResult finish(Flops flops);
+
+  private:
+    TpcParams params_;
+    IssueTrace *trace_;
+    /// Per-SSA-value ready times; values past the end were never
+    /// written, so they are ready at cycle 0.
+    std::vector<double, mem::ArenaAllocator<double>> ready_;
+    double slotFree_[numSlots] = {0, 0, 0, 0};
+    double memNextFree_ = 0; ///< Global-memory interface availability.
+    double lastIssue_ = 0;   ///< In-order constraint.
+    double completion_ = 0;
+    PipelineResult r_;
+    /// Counter-track sampling of cumulative stall cycles (only while
+    /// the Profiler traces; checked once, not per instruction).
+    bool sampling_;
+    std::size_t sinceSample_ = 0;
+};
+
+/**
+ * Evaluate a stored trace under the timing model: PipelineEvaluator's
+ * issue() over `program.instrs()`, then finish(). When `trace` is
+ * non-null it is filled with the per-instruction issue schedule. Pure:
+ * no counter moves (while the Profiler traces, it still samples the
  * `tpc.stall_cycles` track); the caller charges the result with
  * chargePipeline.
  */
@@ -116,7 +169,7 @@ PipelineResult evaluatePipeline(const Program &program,
 void chargePipeline(const PipelineResult &result);
 
 /// @name Timing-rule hooks shared with the analyzers.
-/// Exactly the rules evaluatePipeline applies, exported so the trace
+/// Exactly the rules PipelineEvaluator applies, exported so the trace
 /// analyzer (src/analysis/) and the static cost model
 /// (src/analysis/static/) consume one definition instead of keeping
 /// drift-prone copies.

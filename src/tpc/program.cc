@@ -1,8 +1,25 @@
 #include "tpc/program.h"
 
 #include "common/logging.h"
+#include "tpc/pipeline.h"
 
 namespace vespera::tpc {
+
+void
+Program::issueToSink(const Instr &instr)
+{
+    sink_.evaluator->issue(instr);
+}
+
+void
+Program::traceDropped() const
+{
+    vpanic("kernel '%s': instrs() on a program that streamed its %zu "
+           "instructions into the timing model without keeping the "
+           "trace (the TPC dispatcher keeps it only while a trace "
+           "observer is installed)",
+           kernelName_.c_str(), numInstrs_);
+}
 
 std::int16_t
 Program::internLabel(std::string_view label)
@@ -30,7 +47,7 @@ Program::randomTransactions(Bytes granule) const
 {
     vassert(granule > 0, "zero granule");
     std::uint64_t txns = 0;
-    for (const auto &i : instrs_) {
+    for (const auto &i : instrs()) {
         if ((i.slot == Slot::Load || i.slot == Slot::Store) &&
             i.access == Access::Random) {
             txns += (i.memBytes + granule - 1) / granule;
@@ -44,7 +61,7 @@ Program::busBytes(Bytes granule) const
 {
     vassert(granule > 0, "zero granule");
     Bytes total = 0;
-    for (const auto &i : instrs_) {
+    for (const auto &i : instrs()) {
         if (i.slot != Slot::Load && i.slot != Slot::Store)
             continue;
         if (i.access == Access::Local)
@@ -58,7 +75,7 @@ Program::Stats
 Program::stats() const
 {
     Stats s;
-    for (const auto &i : instrs_) {
+    for (const auto &i : instrs()) {
         switch (i.slot) {
           case Slot::Load:
             s.loads++;

@@ -17,10 +17,34 @@
 
 namespace vespera::tpc {
 
-/** The recorded instruction stream of one TPC's kernel invocation. */
+class PipelineEvaluator;
+
+/**
+ * The recorded instruction stream of one TPC's kernel invocation.
+ *
+ * A default-constructed Program stores its Instr trace. One built with
+ * an evaluator sink issues every appended instruction to that
+ * PipelineEvaluator as it is recorded, and stores the trace as well
+ * only when asked to: the TPC dispatcher keeps it only while a trace
+ * observer is installed. Running totals (flops, stream and random
+ * bytes, instruction count) are kept either way; everything that walks
+ * the trace fails, naming the kernel, on a program that dropped it.
+ */
 class Program
 {
   public:
+    Program() = default;
+
+    /**
+     * Stream every appended instruction into `sink`, which must outlive
+     * the recording; store the trace too only when `keepTrace`. Copies
+     * of the program do not carry the sink.
+     */
+    Program(PipelineEvaluator &sink, bool keepTrace)
+        : sink_(&sink), keepTrace_(keepTrace)
+    {
+    }
+
     /** Append an instruction, returning its position. */
     std::size_t
     append(const Instr &instr)
@@ -34,17 +58,20 @@ class Program
             else if (instr.access == Access::Random)
                 randomBytes_ += instr.memBytes;
         }
-        // Trace-vector growth is the simulator's dominant allocation
-        // source; report reallocations to the self-profile (one branch
-        // on a relaxed atomic when --selfprof is off).
-        if (obs::SelfProf::instance().enabled()) {
-            const std::size_t cap = instrs_.capacity();
-            instrs_.push_back(instr);
-            obs::selfRecordGrowth(instrs_, cap);
-        } else {
-            instrs_.push_back(instr);
+        if (sink_.evaluator != nullptr)
+            issueToSink(instr);
+        if (keepTrace_) {
+            // Report trace-vector reallocations to the self-profile
+            // (one branch on a relaxed atomic when --selfprof is off).
+            if (obs::SelfProf::instance().enabled()) {
+                const std::size_t cap = instrs_.capacity();
+                instrs_.push_back(instr);
+                obs::selfRecordGrowth(instrs_, cap);
+            } else {
+                instrs_.push_back(instr);
+            }
         }
-        return instrs_.size() - 1;
+        return numInstrs_++;
     }
 
     /** Allocate a fresh SSA value id. */
@@ -56,9 +83,19 @@ class Program
     /// program into long-lived storage.
     using InstrVec = std::vector<Instr, mem::ArenaAllocator<Instr>>;
 
-    const InstrVec &instrs() const { return instrs_; }
+    /** The stored trace; fails on a program that dropped it. */
+    const InstrVec &
+    instrs() const
+    {
+        if (!keepTrace_) [[unlikely]]
+            traceDropped();
+        return instrs_;
+    }
+
+    /** Instructions appended, stored or not. */
+    std::size_t numInstrs() const { return numInstrs_; }
     std::int32_t numValues() const { return nextValue_; }
-    bool empty() const { return instrs_.empty(); }
+    bool empty() const { return numInstrs_ == 0; }
 
     /// @name Diagnostic provenance (who recorded this trace).
     /// @{
@@ -113,7 +150,31 @@ class Program
     Stats stats() const;
 
   private:
+    /// The evaluator append() issues to, if any. Copies drop it: a
+    /// copy is a snapshot of the trace, not a second recording.
+    struct Sink
+    {
+        PipelineEvaluator *evaluator = nullptr;
+
+        Sink() = default;
+        explicit Sink(PipelineEvaluator *e) : evaluator(e) {}
+        Sink(const Sink &) {}
+        Sink &
+        operator=(const Sink &other)
+        {
+            if (this != &other)
+                evaluator = nullptr;
+            return *this;
+        }
+    };
+
+    void issueToSink(const Instr &instr);
+    [[noreturn]] void traceDropped() const;
+
+    Sink sink_;
+    bool keepTrace_ = true;
     InstrVec instrs_;
+    std::size_t numInstrs_ = 0;
     std::int32_t nextValue_ = 0;
     double flops_ = 0;
     Bytes streamBytes_ = 0;

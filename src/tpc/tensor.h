@@ -12,9 +12,15 @@
  * the TPC-C convention where the "depth" dimension determines memory
  * access granularity (Figure 3 of the paper).
  *
- * Storage comes zeroed from calloc, so a large tensor is backed by
- * fresh anonymous pages: elements no kernel touches cost neither a
- * zero-fill pass nor a page fault.
+ * Storage comes zeroed from calloc, whose cost depends on glibc's
+ * dynamic mmap threshold (raised, up to 32 MiB, to the size of each
+ * mmap'd chunk freed):
+ *  - At or above the threshold a tensor gets fresh anonymous pages, so
+ *    untouched elements cost nothing, but free() unmaps them and every
+ *    launch faults its touched pages in again.
+ *  - Below it calloc recycles a heap chunk and zeroes all of it: a
+ *    20 MiB chunk takes about 1.4-2.3 ms on a 4-vCPU x86 host, so a
+ *    STREAM job's three tensors pay several ms whatever they touch.
  */
 
 #ifndef VESPERA_TPC_TENSOR_H

@@ -60,6 +60,23 @@ TEST_F(ContextTest, StorePastEndClamps)
     EXPECT_EQ(program_.instrs().back().memBytes, 256u);
 }
 
+TEST_F(ContextTest, PredicatedStoreWritesOnlyItsLanes)
+{
+    Tensor out({64}, DataType::FP32);
+    out.fill([](std::int64_t) { return -1.0f; });
+    const Vec v = ctx_.v_splat(2.0f, 16);
+    const Program::InstrVec::size_type before = program_.instrs().size();
+    ctx_.v_st_tnsr({8, 0, 0, 0, 0}, out, v, Access::Stream, 5);
+    EXPECT_FLOAT_EQ(out.at(std::int64_t{7}), -1.0f);
+    EXPECT_FLOAT_EQ(out.at(std::int64_t{12}), 2.0f);
+    EXPECT_FLOAT_EQ(out.at(std::int64_t{13}), -1.0f);
+    // The instruction is the unpredicated one: all 16 lanes, 64 B.
+    ASSERT_EQ(program_.instrs().size(), before + 1);
+    EXPECT_EQ(program_.instrs().back().lanes, 16);
+    EXPECT_EQ(program_.instrs().back().memBytes, 64u);
+    EXPECT_EQ(program_.instrs().back().memOffset, 32);
+}
+
 TEST_F(ContextTest, LoadAtOutOfRangeCoordinatePanics)
 {
     Tensor t({64, 2}, DataType::FP32);

@@ -1,10 +1,18 @@
 #include <atomic>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
+#include "digest.h"
+#include "kern/embedding.h"
+#include "kern/gather_scatter.h"
+#include "kern/softmax.h"
+#include "kern/stream.h"
 #include "obs/counters.h"
 #include "obs/export.h"
 #include "runtime/pool.h"
@@ -308,6 +316,131 @@ TEST(DispatcherUniform, ObserverSeesRecordedSlicesOnly)
         makeAddKernel(a, b, c, depth), space, params);
     EXPECT_EQ(seen, (std::vector<int>{0, 16}));
     EXPECT_EQ(r.activeTpcs, 17);
+}
+
+/** A kern launch to time, rendered as its result fields in `%a`. */
+struct StreamedCase
+{
+    std::string name;
+    std::function<std::string()> run;
+};
+
+std::vector<StreamedCase>
+streamedCases()
+{
+    std::vector<StreamedCase> cases;
+    // STREAM over ragged element counts: 10007 elements leave a short
+    // tail slice at 2, 7 and 24 TPCs, and a 16 B access keeps the
+    // lanes inline while 256 B ones live on the heap.
+    constexpr struct
+    {
+        kern::StreamOp op;
+        int numTpcs;
+        Bytes accessBytes;
+    } streams[] = {
+        {kern::StreamOp::Scale, 1, 16},
+        {kern::StreamOp::Add, 2, 256},
+        {kern::StreamOp::Triad, 7, 64},
+        {kern::StreamOp::Triad, 24, 256},
+    };
+    for (const auto &st : streams) {
+        kern::StreamConfig c;
+        c.op = st.op;
+        c.numElements = 10007;
+        c.numTpcs = st.numTpcs;
+        c.accessBytes = st.accessBytes;
+        c.unroll = 3;
+        c.extraComputePerVector = 2;
+        cases.push_back({strfmt("stream %s x%d %lluB",
+                                kern::streamOpName(st.op), st.numTpcs,
+                                static_cast<unsigned long long>(
+                                    st.accessBytes)),
+                         [c] {
+                             const kern::StreamResult r =
+                                 kern::runStreamGaudi(c);
+                             return strfmt("%a %a %a %a %a %a", r.time,
+                                           r.flops, r.gflops,
+                                           r.vectorUtilization,
+                                           r.hbmUtilization,
+                                           r.operationalIntensity);
+                         }});
+    }
+    kern::GatherScatterConfig gather;
+    gather.numVectors = 3000;
+    gather.vectorBytes = 64;
+    gather.accessFraction = 0.3;
+    gather.numTpcs = 7;
+    cases.push_back({"gather x7", [gather] {
+                         Rng rng(9);
+                         const kern::GatherScatterResult r =
+                             kern::runGatherScatterGaudi(gather, rng);
+                         return strfmt("%a %llu %a", r.time,
+                                       static_cast<unsigned long long>(
+                                           r.usefulBytes),
+                                       r.hbmUtilization);
+                     }});
+    for (const kern::EmbeddingVariant v :
+         {kern::EmbeddingVariant::SingleTable,
+          kern::EmbeddingVariant::BatchedTable}) {
+        kern::EmbeddingConfig c;
+        c.numTables = 3;
+        c.rowsPerTable = 1 << 10;
+        c.batch = 50;
+        c.pooling = 8;
+        cases.push_back(
+            {strfmt("embedding %s", kern::embeddingVariantName(v)),
+             [c, v] {
+                 const kern::EmbeddingLayerGaudi layer(c);
+                 Rng rng(11);
+                 const kern::EmbeddingResult r = layer.run(v, rng);
+                 return strfmt("%a %llu %a %d", r.time,
+                               static_cast<unsigned long long>(
+                                   r.gatheredBytes),
+                               r.hbmUtilization, r.kernelLaunches);
+             }});
+    }
+    kern::SoftmaxConfig softmax;
+    softmax.rows = 50;
+    softmax.cols = 256;
+    cases.push_back({"softmax 50x256 x24", [softmax] {
+                         const kern::SoftmaxResult r =
+                             kern::runSoftmaxGaudi(softmax);
+                         return strfmt("%a %a %a", r.time,
+                                       r.hbmUtilization, r.flops);
+                     }});
+    return cases;
+}
+
+// Every launch streams its instructions into the evaluator; a trace
+// observer only makes the dispatcher keep the trace as well (and run
+// its TPCs serially). So a no-op observer changes nothing a launch
+// reports: same results and tpc.* counters, serial or on the pool,
+// where each worker's evaluator grows its scoreboard in its own
+// scratch arena.
+TEST(DispatcherStreaming, TraceObserverDoesNotChangeTiming)
+{
+    PoolGuard guard;
+    for (const StreamedCase &k : streamedCases()) {
+        std::string want;
+        for (const int threads : {1, 4}) {
+            runtime::Pool::setGlobalThreads(threads);
+            for (const bool observed : {false, true}) {
+                SCOPED_TRACE(strfmt("%s, %d threads, %s", k.name.c_str(),
+                                    threads,
+                                    observed ? "observed" : "streamed"));
+                std::optional<ScopedTraceObserver> observer;
+                if (observed)
+                    observer.emplace([](const Program &, int) {});
+                obs::CounterRegistry::instance().reset();
+                const std::string got =
+                    k.run() + " | " +
+                    test::counterDigest({"tpc.", "attrib.tpc."});
+                if (want.empty())
+                    want = got;
+                EXPECT_EQ(got, want);
+            }
+        }
+    }
 }
 
 } // namespace

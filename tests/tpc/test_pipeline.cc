@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/kernel_registry.h"
+#include "digest.h"
 #include "obs/counters.h"
 #include "tpc/context.h"
 #include "tpc/pipeline.h"
@@ -238,6 +240,72 @@ TEST(Pipeline, EvaluateIsPureAndChargeAddsTheResult)
     // Nothing else moved.
     for (const auto &[name, state] : after)
         EXPECT_EQ(state, before.at(name)) << name;
+}
+
+/** Every PipelineResult and IssueTrace field, bit for bit. */
+std::string
+timingDoc(const PipelineResult &r, const IssueTrace &trace)
+{
+    std::string doc = strfmt(
+        "%a|%a|%a|%a|%llu|%llu|%llu|%llu|%a|drain %a\n", r.cycles, r.time,
+        r.flops, r.stallCycles,
+        static_cast<unsigned long long>(r.instructions),
+        static_cast<unsigned long long>(r.busBytes),
+        static_cast<unsigned long long>(r.randomTxns),
+        static_cast<unsigned long long>(r.randomAccesses),
+        r.memConcurrency, trace.drainStall);
+    for (const IssuedInstr &i : trace.instrs)
+        doc += strfmt("%a %a %d %d\n", i.issueCycle, i.stallCycles,
+                      static_cast<int>(i.cause), i.criticalSrc);
+    return doc;
+}
+
+// The dispatcher streams each instruction into a PipelineEvaluator as
+// it is recorded; vespera-lint and the analyzers evaluate stored
+// traces. Both must time every registered kernel identically, and the
+// stored path must still match the single-loop evaluatePipeline the
+// evaluator was split out of (the digest that build printed).
+TEST(Pipeline, StreamedEqualsStoredOnEveryKernel)
+{
+    analysis::registerBuiltinKernels();
+    const analysis::KernelRegistry &reg =
+        analysis::KernelRegistry::instance();
+    EXPECT_EQ(reg.size(), 32u);
+    const TpcParams params = TpcParams::forGaudi2();
+    std::uint64_t h = test::kFnv1aBasis;
+    for (const std::string &name : reg.names()) {
+        const Program stored = reg.trace(name).program;
+        IssueTrace stored_trace;
+        const std::string want = timingDoc(
+            evaluatePipeline(stored, params, &stored_trace), stored_trace);
+        h = test::fnv1a(name + "\n" + want, h);
+
+        IssueTrace streamed_trace;
+        PipelineEvaluator eval(params, &streamed_trace);
+        Program streamed(eval, /*keepTrace=*/false);
+        for (const Instr &instr : stored.instrs())
+            streamed.append(instr);
+        EXPECT_EQ(streamed.numInstrs(), stored.instrs().size()) << name;
+        EXPECT_EQ(timingDoc(eval.finish(streamed.flops()), streamed_trace),
+                  want)
+            << name;
+    }
+    EXPECT_EQ(test::hex16(h), "2410eb0caded89bf");
+}
+
+// A program that streamed its trace without keeping it fails loudly,
+// naming the kernel, wherever the trace would be read.
+TEST(PipelineDeathTest, InstrsOnADroppedTraceNamesTheKernel)
+{
+    PipelineEvaluator eval(TpcParams::forGaudi2());
+    Program p(eval, /*keepTrace=*/false);
+    p.setKernelName("stream_TRIAD");
+    MemberRange range{{0, 0, 0, 0, 0}, {1, 1, 1, 1, 1}};
+    TpcContext ctx(p, range);
+    (void)ctx.v_zero(64);
+    EXPECT_EQ(p.numInstrs(), 1u);
+    EXPECT_DEATH((void)p.instrs(), "kernel 'stream_TRIAD'.*without keeping");
+    EXPECT_DEATH((void)p.stats(), "kernel 'stream_TRIAD'");
 }
 
 } // namespace
