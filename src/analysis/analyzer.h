@@ -9,11 +9,11 @@
  * latency, under-unrolled loops that starve the four VLIW slots, and
  * random-access patterns where streaming would do. Because our kernels
  * record SSA instruction traces, every one of those anti-patterns is
- * detectable *before* the timing model runs — this module builds the
- * def-use graph, replays the pipeline's issue schedule to attribute
- * each stall cycle to its cause, and reports diagnostics with
- * severity, instruction index, source kernel, and an estimated
- * cycle/byte cost.
+ * detectable from the trace — this module checks its SSA form, runs
+ * the timing model to attribute each stall cycle to its cause, and
+ * reports diagnostics with severity, instruction index, source kernel,
+ * and an estimated cycle/byte cost. The rules themselves are detected
+ * in kernel_rules.h, shared with the static pipeline.
  */
 
 #ifndef VESPERA_ANALYSIS_ANALYZER_H
@@ -104,7 +104,8 @@ struct RuleSummary
     Bytes wastedBytes = 0;
 };
 
-/** Analyzer knobs. Defaults match the simulated Gaudi-2 TPC. */
+/** Analyzer knobs, shared by both analyzers (StaticAnalyzerOptions
+ *  extends them). Defaults match the simulated Gaudi-2 TPC. */
 struct AnalyzerOptions
 {
     tpc::TpcParams params = tpc::TpcParams::forGaudi2();
@@ -118,7 +119,7 @@ struct AnalyzerOptions
     /// Minimum run of address-sequential random accesses to flag.
     int minSequentialRun = 4;
     /// Publish per-rule counts to obs::CounterRegistry
-    /// ("analysis.diag.<rule>").
+    /// ("analysis.diag.<rule>", "analysis.static.diag.<rule>").
     bool exportCounters = true;
 };
 
@@ -133,8 +134,9 @@ struct Report
     double cycles = 0;
     /// Stall cycles as measured by tpc::evaluatePipeline.
     double measuredStallCycles = 0;
-    /// Analyzer's attribution total (per-cause stalls + drain). By
-    /// construction this equals measuredStallCycles; tests enforce it.
+    /// Analyzer's attribution total (per-cause stalls + drain). It adds
+    /// the same stalls as measuredStallCycles in another order, so the
+    /// two agree up to the last few bits; tests enforce that.
     double predictedStallCycles = 0;
     double dependencyStallCycles = 0;
     double memoryStallCycles = 0;

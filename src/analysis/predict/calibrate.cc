@@ -4,7 +4,7 @@
 
 #include "analysis/predict/features.h"
 #include "analysis/predict/tuner.h"
-#include "analysis/static/cost_model.h"
+#include "analysis/static/ir.h"
 #include "common/logging.h"
 
 namespace vespera::analysis {
@@ -29,7 +29,7 @@ sampleAt(const TunableKernel &k, const TuneConfig &config,
             k.name.c_str());
     Sample s;
     s.basis = extractFeatures(ir, params).basis();
-    s.exactCycles = scheduleStatic(ir, params).cycles;
+    s.exactCycles = tpc::evaluatePipeline(program, params).cycles;
     return s;
 }
 

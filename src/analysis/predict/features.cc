@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "analysis/kernel_rules.h"
 #include "common/logging.h"
 
 namespace vespera::analysis {
@@ -137,10 +138,8 @@ FeatureVector::toJson() const
 {
     std::map<std::string, json::Value> f;
     f["instructions"] = json::Value::makeNumber(instructions);
-    static const char *slotNames[tpc::numSlots] = {"load", "store",
-                                                   "vector", "scalar"};
     for (int s = 0; s < tpc::numSlots; s++) {
-        f[std::string("slot_") + slotNames[s]] =
+        f[std::string("slot_") + slotName(static_cast<tpc::Slot>(s))] =
             json::Value::makeNumber(slotCounts[s]);
     }
     f["busiest_slot"] = json::Value::makeNumber(busiestSlotCount);

@@ -2,7 +2,7 @@
  * @file
  * The analytic/fitted proxy cost model: per-family linear coefficients
  * over the feature basis (features.h), calibrated offline against the
- * exact static scheduler (cost_model.h) on the kernel registry.
+ * timing model (tpc::evaluatePipeline) on the kernel registry.
  *
  * Prediction is one dot product, which is what lets the autotuner
  * (tuner.h) screen thousands of configurations per second. The
@@ -10,9 +10,9 @@
  * (tools/predict_coeffs.json, schema "vespera-predict-coeffs/v1") and
  * as a byte-identical builtin copy compiled into the library so
  * binaries predict correctly from any working directory; a test pins
- * the two together. Accuracy contract: within ±15% of scheduleStatic
- * on held-out shapes of every registry kernel (the static model is
- * itself within ±10% of the cycle simulator), enforced by
+ * the two together. Accuracy contract: within ±15% of
+ * tpc::evaluatePipeline on held-out shapes of every registry kernel,
+ * enforced by
  * tests/analysis/test_predict_proxy.cc and CI's predict-accuracy job.
  */
 

@@ -6,7 +6,7 @@
  * geometry — as enumerable axes plus a `produce` hook that re-traces
  * the kernel at any knob setting. The autotuner (tuner.h) enumerates
  * the cross product, screens it through the proxy model, and verifies
- * survivors with the exact static scheduler; calibration
+ * survivors with the timing model itself; calibration
  * (calibrate.cc) sweeps the `sizes` axis to fit the proxy and holds
  * out `heldOutSizes` for the accuracy contract.
  *
@@ -55,7 +55,7 @@ struct TuneConfig
 
 /** How a tunable entry is evaluated. */
 enum class TuneKind : std::uint8_t {
-    Tpc, ///< produce() -> trace -> lift -> scheduleStatic.
+    Tpc, ///< produce() -> trace -> tpc::evaluatePipeline.
     Mme, ///< hw::MmeModel::gemmWithGeometry on `gemmShape`.
 };
 

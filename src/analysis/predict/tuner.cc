@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/static/cost_model.h"
+#include "analysis/static/ir.h"
 #include "common/logging.h"
 #include "hw/mme.h"
 #include "obs/counters.h"
@@ -161,7 +161,7 @@ tpcBasisAt(const TunableKernel &k, const TuneConfig &config,
     vassert(ir.valid(), "tunable '%s' produced a malformed trace",
             k.name.c_str());
     if (exactOut != nullptr)
-        *exactOut = scheduleStatic(ir, params).cycles;
+        *exactOut = tpc::evaluatePipeline(program, params).cycles;
     return extractFeatures(ir, params).basis();
 }
 

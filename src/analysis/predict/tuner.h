@@ -4,7 +4,7 @@
  * knob cross product (unroll x TPC count x access granularity x
  * gather accumulators / embedding interleave x MME geometry), screen
  * every configuration through the proxy cost model, then verify only
- * the top-k survivors with the exact static scheduler and report the
+ * the top-k survivors with the timing model itself and report the
  * best configuration found as a machine-readable fix hint.
  *
  * Screening never traces: the tuner records one anchor trace at the
@@ -13,7 +13,7 @@
  * (exponent log(f1/f0)/log(x1/x0), linear fallback when a feature
  * vanishes at an anchor). One screened configuration costs a handful
  * of multiplies and a dot product — thousands per second — while the
- * exact scheduler (trace + lift + scheduleStatic) runs only 1 + axes +
+ * exact timing (trace + tpc::evaluatePipeline) runs only 1 + axes +
  * top-k times per kernel. The screening loop runs under
  * runtime::parallel_map with capture-deferred obs counters, so
  * `analysis.predict.*` counts are identical at any --threads.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "analysis/kernel_rules.h"
 #include "common/logging.h"
 
 namespace vespera::analysis {
@@ -14,129 +15,31 @@ scheduleStatic(const StaticIr &ir, const tpc::TpcParams &params)
     StaticSchedule sched;
     if (ir.program == nullptr || ir.program->empty())
         return sched;
-    const auto &instrs = ir.program->instrs();
-    sched.instrs.reserve(instrs.size());
-
-    // Machine state, re-derived from the IR's def-use edges: when each
-    // SSA value's result is consumable, when each VLIW slot frees up,
-    // and when the global-memory interface can accept the next
-    // granule burst.
-    std::vector<double> value_ready(
-        static_cast<std::size_t>(ir.program->numValues()), 0.0);
-    std::array<double, tpc::numSlots> slot_free{};
-    std::array<std::uint64_t, tpc::numSlots> slot_count{};
-    double mem_free = 0;
-    double mem_busy_cycles = 0;
-    double last_issue = 0;
-    double completion = 0;
-
-    for (std::size_t i = 0; i < instrs.size(); i++) {
-        const tpc::Instr &instr = instrs[i];
-        ScheduledInstr rec;
-
-        // In-order issue: never before the previous instruction.
-        double t = last_issue;
-        tpc::StallCause cause = tpc::StallCause::None;
-        std::int32_t critical_src = -1;
-        // Structural hazard: the slot accepts one instruction/cycle.
-        const auto slot = static_cast<std::size_t>(instr.slot);
-        if (slot_free[slot] > t) {
-            t = slot_free[slot];
-            cause = tpc::StallCause::SlotBusy;
-        }
-        // Data hazard: all sources' results must be consumable.
-        for (std::int32_t src : {instr.src0, instr.src1, instr.src2}) {
-            if (src >= 0 &&
-                value_ready[static_cast<std::size_t>(src)] > t) {
-                t = value_ready[static_cast<std::size_t>(src)];
-                cause = tpc::StallCause::Dependency;
-                critical_src = src;
-            }
-        }
-        // Memory hazard: the global interface moves whole granules at
-        // a bounded sustained rate; a busy interface backpressures.
-        const double latency = tpc::resultLatency(instr, params);
-        if (tpc::isGlobalMemAccess(instr)) {
-            if (mem_free > t) {
-                t = mem_free;
-                cause = tpc::StallCause::Memory;
-                critical_src = -1;
-            }
-            const std::uint64_t txns =
-                (instr.memBytes + params.granule - 1) / params.granule;
-            const double occupancy =
-                static_cast<double>(txns) *
-                params.memIssueIntervalCycles;
-            mem_free = t + occupancy;
-            mem_busy_cycles += occupancy;
-        }
-
-        if (instr.dst >= 0)
-            value_ready[static_cast<std::size_t>(instr.dst)] =
-                t + latency;
-
-        const double stall = t > last_issue + 1 ? t - last_issue - 1 : 0;
-        rec.issueCycle = t;
-        rec.stallCycles = stall;
-        rec.cause = stall > 0 ? cause : tpc::StallCause::None;
-        rec.criticalSrc =
-            rec.cause == tpc::StallCause::Dependency ? critical_src
-                                                     : -1;
-        sched.instrs.push_back(rec);
-        sched.stallCycles += stall;
-        switch (rec.cause) {
-          case tpc::StallCause::Dependency:
-            sched.dependencyStallCycles += stall;
-            break;
-          case tpc::StallCause::Memory:
-            sched.memoryStallCycles += stall;
-            break;
-          case tpc::StallCause::SlotBusy:
-            sched.slotStallCycles += stall;
-            break;
-          case tpc::StallCause::None:
-            break;
-        }
-
-        slot_free[slot] = t + 1;
-        slot_count[slot]++;
-        last_issue = t;
-        completion = std::max(completion, t + std::max(latency, 1.0));
-    }
-
-    sched.cycles = std::max(completion, mem_free);
-    sched.drainStallCycles =
-        std::max(0.0, sched.cycles - last_issue - 1);
-    sched.stallCycles += sched.drainStallCycles;
+    const tpc::Program &program = *ir.program;
+    const tpc::PipelineResult pr =
+        tpc::evaluatePipeline(program, params, &sched.issue);
+    sched.cycles = pr.cycles;
+    sched.stallCycles = pr.stallCycles;
+    sched.drainStallCycles = sched.issue.drainStall;
+    const StallSums stalls = sumStalls(sched.issue);
+    sched.dependencyStallCycles = stalls.dependency;
+    sched.memoryStallCycles = stalls.memory;
+    sched.slotStallCycles = stalls.slot;
 
     // Analytic roofline terms.
-    {
-        std::vector<double> finish(
-            static_cast<std::size_t>(ir.program->numValues()), 0.0);
-        for (const tpc::Instr &instr : instrs) {
-            double start = 0;
-            for (std::int32_t src :
-                 {instr.src0, instr.src1, instr.src2}) {
-                if (src >= 0) {
-                    start = std::max(
-                        start, finish[static_cast<std::size_t>(src)]);
-                }
-            }
-            const double done =
-                start +
-                std::max(tpc::resultLatency(instr, params), 1.0);
-            if (instr.dst >= 0)
-                finish[static_cast<std::size_t>(instr.dst)] = done;
-            sched.criticalPathBound =
-                std::max(sched.criticalPathBound, done);
+    sched.criticalPathBound = criticalPath(program, params);
+    std::array<std::uint64_t, tpc::numSlots> slot_count{};
+    for (const tpc::Instr &instr : program.instrs()) {
+        slot_count[static_cast<std::size_t>(instr.slot)]++;
+        if (tpc::isGlobalMemAccess(instr)) {
+            const std::uint64_t txns =
+                (instr.memBytes + params.granule - 1) / params.granule;
+            sched.memoryBound += static_cast<double>(txns) *
+                                 params.memIssueIntervalCycles;
         }
     }
-    for (int s = 0; s < tpc::numSlots; s++) {
-        sched.slotResourceBound = std::max(
-            sched.slotResourceBound,
-            static_cast<double>(slot_count[static_cast<std::size_t>(s)]));
-    }
-    sched.memoryBound = mem_busy_cycles;
+    sched.slotResourceBound = static_cast<double>(
+        *std::max_element(slot_count.begin(), slot_count.end()));
     return sched;
 }
 

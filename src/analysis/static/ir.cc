@@ -435,48 +435,57 @@ StaticIr::maxLoopDepth() const
     return depth;
 }
 
-StaticIr
-liftProgram(const tpc::Program &program, const LiftOptions &options)
+std::vector<SsaViolation>
+checkSsa(const tpc::Program &program, std::vector<std::int64_t> &defIndex,
+         std::vector<std::vector<std::int64_t>> *users)
 {
-    StaticIr ir;
-    ir.program = &program;
     const auto &instrs = program.instrs();
     const std::size_t num_values =
         static_cast<std::size_t>(program.numValues());
-
-    // Def-use chains + SSA well-formedness in one pass.
-    ir.defIndex.assign(num_values, -1);
-    ir.users.assign(num_values, {});
+    std::vector<SsaViolation> violations;
+    defIndex.assign(num_values, -1);
+    if (users != nullptr)
+        users->assign(num_values, {});
     for (std::size_t i = 0; i < instrs.size(); i++) {
         const tpc::Instr &instr = instrs[i];
         for (std::int32_t src : {instr.src0, instr.src1, instr.src2}) {
             if (src < 0)
                 continue;
             if (static_cast<std::size_t>(src) >= num_values) {
-                ir.violations.push_back(
+                violations.push_back(
                     {i, src, SsaViolation::Kind::UseOutOfRange});
-            } else if (ir.defIndex[static_cast<std::size_t>(src)] < 0) {
-                ir.violations.push_back(
+            } else if (defIndex[static_cast<std::size_t>(src)] < 0) {
+                violations.push_back(
                     {i, src, SsaViolation::Kind::UseBeforeDef});
-            } else {
-                ir.users[static_cast<std::size_t>(src)].push_back(
+            } else if (users != nullptr) {
+                (*users)[static_cast<std::size_t>(src)].push_back(
                     static_cast<std::int64_t>(i));
             }
         }
         if (instr.dst >= 0) {
             if (static_cast<std::size_t>(instr.dst) >= num_values) {
-                ir.violations.push_back(
+                violations.push_back(
                     {i, instr.dst, SsaViolation::Kind::DefOutOfRange});
-            } else if (ir.defIndex[static_cast<std::size_t>(
-                           instr.dst)] >= 0) {
-                ir.violations.push_back(
+            } else if (defIndex[static_cast<std::size_t>(instr.dst)] >=
+                       0) {
+                violations.push_back(
                     {i, instr.dst, SsaViolation::Kind::Redefinition});
             } else {
-                ir.defIndex[static_cast<std::size_t>(instr.dst)] =
+                defIndex[static_cast<std::size_t>(instr.dst)] =
                     static_cast<std::int64_t>(i);
             }
         }
     }
+    return violations;
+}
+
+StaticIr
+liftProgram(const tpc::Program &program, const LiftOptions &options)
+{
+    StaticIr ir;
+    ir.program = &program;
+    const auto &instrs = program.instrs();
+    ir.violations = checkSsa(program, ir.defIndex, &ir.users);
     if (!ir.valid())
         return ir; // No structure recovery on malformed SSA.
 

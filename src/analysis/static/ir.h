@@ -5,7 +5,7 @@
  * The functional TPC kernels record fully unrolled, linear SSA
  * instruction streams (every TPC-C intrinsic appends one tpc::Instr).
  * This module lifts that flat stream back into compiler-shaped
- * structure *without running the timing simulator*:
+ * structure:
  *
  *  - def-use chains: for every SSA value, its defining instruction and
  *    the ordered list of its users;
@@ -21,11 +21,9 @@
  *    consumed in iteration t+1, the recurrences that bound software
  *    pipelining.
  *
- * Everything downstream — the dataflow passes in passes.h and the
- * static cost model in cost_model.h — consumes this IR, never the
- * pipeline's IssueTrace. That is the point: the static pipeline is an
- * independent predictor that can be cross-validated against the cycle
- * simulator.
+ * The static pipeline's passes (passes.h) read this structure; its
+ * cycle numbers come from the timing model itself (cost_model.h), so
+ * the IR adds loop and live-range context, not a second predictor.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_IR_H
@@ -181,6 +179,16 @@ struct LiftOptions
     /// Levels of bottom-up loop-nesting recovery.
     int maxLoopNesting = 3;
 };
+
+/**
+ * Def-use chains and SSA well-formedness of `program` in one pass:
+ * sets `defIndex` (value id -> first defining instruction, -1 when
+ * none) and, when non-null, `users`; returns the violations in
+ * program order. Both analyzers' invalid-ssa rule reads them.
+ */
+std::vector<SsaViolation>
+checkSsa(const tpc::Program &program, std::vector<std::int64_t> &defIndex,
+         std::vector<std::vector<std::int64_t>> *users = nullptr);
 
 /**
  * Lift `program` into SSA IR. Always succeeds; on malformed SSA the

@@ -1,16 +1,12 @@
 /**
  * @file
- * Dataflow passes over the lifted SSA IR.
+ * Static-only passes over the lifted SSA IR.
  *
- * Each pass re-derives one of the kernel lint rules *statically*: the
- * trace analyzer (analysis/analyzer.cc) diagnoses the same
- * anti-patterns from the simulator's IssueTrace after execution; these
- * passes reach the same verdicts from the IR and the static schedule
- * alone. Rules shared with the trace pipeline must keep finding-set
- * parity on the registered kernels (tests pin this); the two
- * static-only passes (register-pressure, swp-opportunity) have no
- * trace counterpart because they reason about structure the pipeline
- * replay does not expose.
+ * The rules shared with the trace analyzer are detected once, in
+ * analysis/kernel_rules.h. These passes reason about structure the
+ * issue trace alone does not expose: live ranges (register-pressure),
+ * recovered loops (swp-opportunity) and the port layer's "port:*"
+ * labels (the migration-aware passes).
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_PASSES_H
@@ -19,43 +15,6 @@
 #include "analysis/static/static_analyzer.h"
 
 namespace vespera::analysis {
-
-/** Collects findings into a StaticReport, enforcing the per-rule
- *  emission cap (the per-rule RuleSummary still counts everything). */
-class DiagnosticSink
-{
-  public:
-    DiagnosticSink(Report &report, int max_per_rule)
-        : report_(report), maxPerRule_(max_per_rule)
-    {
-    }
-
-    void
-    add(Diagnostic d)
-    {
-        RuleSummary &s = report_.rules[d.rule];
-        s.count++;
-        s.costCycles += d.costCycles;
-        s.wastedBytes += d.wastedBytes;
-        if (s.count <= maxPerRule_) {
-            d.kernel = report_.kernel;
-            report_.diagnostics.push_back(std::move(d));
-        }
-    }
-
-    /** Whether the next add() for `rule` keeps its diagnostic. */
-    bool
-    keeps(const std::string &rule) const
-    {
-        const auto it = report_.rules.find(rule);
-        return it == report_.rules.end() ||
-               it->second.count < maxPerRule_;
-    }
-
-  private:
-    Report &report_;
-    int maxPerRule_;
-};
 
 /** Everything a pass may read and write. */
 struct PassContext
@@ -66,27 +25,6 @@ struct PassContext
     StaticReport &report; ///< For side outputs (live ranges, ...).
     DiagnosticSink &sink;
 };
-
-/// @name Static counterparts of the trace rules.
-/// @{
-/// Dependence-height analysis: predicted dependency stalls exposing
-/// the latency window (rules::exposedLatency).
-void passExposedLatency(PassContext &ctx);
-/// Sub-granule global accesses (rules::narrowAccess).
-void passNarrowAccess(PassContext &ctx);
-/// Random-tagged streams with affine, contiguous strides
-/// (rules::randomShouldStream).
-void passRandomShouldStream(PassContext &ctx);
-/// Static VLIW packing: slot saturation / ILP starvation
-/// (rules::slotImbalance).
-void passSlotImbalance(PassContext &ctx);
-/// SSA values with empty use lists (rules::deadValue).
-void passDeadValue(PassContext &ctx);
-/// Re-loaded (stream, offset, size) triples (rules::redundantReload).
-void passRedundantReload(PassContext &ctx);
-/// Local-memory high-water vs capacity (rules::localOverflow).
-void passLocalOverflow(PassContext &ctx);
-/// @}
 
 /// @name Static-only passes.
 /// @{

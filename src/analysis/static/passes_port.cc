@@ -52,9 +52,9 @@ hasLabel(const tpc::Program &program, const tpc::Instr &instr,
 double
 instrCycles(const StaticSchedule &schedule, std::size_t i)
 {
-    if (i >= schedule.instrs.size())
+    if (i >= schedule.issue.instrs.size())
         return 1.0;
-    return 1.0 + schedule.instrs[i].stallCycles;
+    return 1.0 + schedule.issue.instrs[i].stallCycles;
 }
 
 } // namespace
@@ -284,8 +284,8 @@ passLoweredPipelining(PassContext &ctx)
     // Anchor the finding at the worst dependency stall.
     std::int64_t worst = -1;
     double worst_stall = 0;
-    for (std::size_t i = 0; i < ctx.schedule.instrs.size(); i++) {
-        const ScheduledInstr &s = ctx.schedule.instrs[i];
+    for (std::size_t i = 0; i < ctx.schedule.issue.instrs.size(); i++) {
+        const tpc::IssuedInstr &s = ctx.schedule.issue.instrs[i];
         if (s.cause == tpc::StallCause::Dependency &&
             s.stallCycles > worst_stall) {
             worst_stall = s.stallCycles;

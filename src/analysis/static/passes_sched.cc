@@ -1,13 +1,9 @@
 /**
  * @file
- * Schedule-shape passes: dependence-height analysis (exposed latency),
- * static VLIW packing (slot imbalance), live-range / register-pressure
- * estimation, and software-pipelining opportunity detection. The first
- * two mirror the trace analyzer's rules over the *predicted* schedule
- * — the static cost model applies the same issue rules the pipeline
- * does, so the finding sets agree on well-formed traces; the last two
- * are static-only (they need loop and live-range structure the
- * IssueTrace does not carry).
+ * Schedule-shape passes that only the static pipeline runs:
+ * live-range / register-pressure estimation and software-pipelining
+ * opportunity detection. Both need loop and live-range structure the
+ * IssueTrace does not carry.
  */
 
 #include <algorithm>
@@ -17,164 +13,6 @@
 #include "common/logging.h"
 
 namespace vespera::analysis {
-
-namespace {
-
-const char *
-slotName(tpc::Slot slot)
-{
-    switch (slot) {
-      case tpc::Slot::Load:
-        return "load";
-      case tpc::Slot::Store:
-        return "store";
-      case tpc::Slot::Vector:
-        return "vector";
-      case tpc::Slot::Scalar:
-        return "scalar";
-    }
-    return "?";
-}
-
-} // namespace
-
-void
-passExposedLatency(PassContext &ctx)
-{
-    const tpc::Program &program = *ctx.ir.program;
-    struct Candidate
-    {
-        std::size_t index;
-        double stall;
-        std::int32_t src;
-    };
-    std::vector<Candidate> candidates;
-    for (std::size_t i = 0; i < ctx.schedule.instrs.size(); i++) {
-        const ScheduledInstr &rec = ctx.schedule.instrs[i];
-        if (rec.cause == tpc::StallCause::Dependency &&
-            rec.stallCycles >= ctx.options.minStallCycles) {
-            candidates.push_back({i, rec.stallCycles, rec.criticalSrc});
-        }
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  return a.stall > b.stall;
-              });
-    for (const Candidate &c : candidates) {
-        Diagnostic d;
-        d.rule = rules::exposedLatency;
-        d.severity = Severity::Warning;
-        d.instrIndex = static_cast<std::int64_t>(c.index);
-        d.costCycles = c.stall;
-        // Past the per-rule cap the sink only tallies count and cost:
-        // skip the strings it would discard.
-        if (!ctx.sink.keeps(d.rule)) {
-            ctx.sink.add(std::move(d));
-            continue;
-        }
-        const tpc::Instr &instr = program.instrs()[c.index];
-        d.opLabel = program.label(instr.opLabel);
-        std::string producer = "an earlier value";
-        if (c.src >= 0 &&
-            ctx.ir.defIndex[static_cast<std::size_t>(c.src)] >= 0) {
-            const auto def =
-                ctx.ir.defIndex[static_cast<std::size_t>(c.src)];
-            producer = strfmt(
-                "v%d (%s @ %lld)", static_cast<int>(c.src),
-                program
-                    .label(program.instrs()[static_cast<std::size_t>(
-                                                def)]
-                               .opLabel)
-                    .c_str(),
-                static_cast<long long>(def));
-        }
-        std::string where;
-        if (const Loop *loop = ctx.ir.innermostLoopAt(c.index)) {
-            where = strfmt(" inside loop #%d",
-                           static_cast<int>(loop->id));
-        }
-        d.message = strfmt(
-            "predicted %.0f-cycle dependence stall waiting on %s%s; "
-            "the chain is shorter than the %d-cycle latency window",
-            c.stall, producer.c_str(), where.c_str(),
-            ctx.options.params.vectorLatency);
-        d.fixHint = "interleave independent work: unroll deeper or "
-                    "rotate across more accumulators";
-        ctx.sink.add(std::move(d));
-    }
-}
-
-void
-passSlotImbalance(PassContext &ctx)
-{
-    // Same degenerate-trace guard as the trace rule: occupancy and
-    // stall fractions are meaningless below two instructions.
-    if (ctx.schedule.cycles <= 0 || ctx.ir.size() < 2)
-        return;
-    const tpc::Program &program = *ctx.ir.program;
-    std::array<std::uint64_t, tpc::numSlots> slot_counts{};
-    for (const tpc::Instr &instr : program.instrs())
-        slot_counts[static_cast<std::size_t>(instr.slot)]++;
-
-    double best_occ = 0;
-    int best_slot = 0;
-    for (int s = 0; s < tpc::numSlots; s++) {
-        const double occ =
-            static_cast<double>(
-                slot_counts[static_cast<std::size_t>(s)]) /
-            ctx.schedule.cycles;
-        if (occ > best_occ) {
-            best_occ = occ;
-            best_slot = s;
-        }
-    }
-    const double stall_frac =
-        ctx.schedule.stallCycles / ctx.schedule.cycles;
-
-    if (best_occ > 0.85) {
-        std::string idle;
-        for (int s = 0; s < tpc::numSlots; s++) {
-            const double occ =
-                static_cast<double>(
-                    slot_counts[static_cast<std::size_t>(s)]) /
-                ctx.schedule.cycles;
-            if (s != best_slot && occ < 0.25 * best_occ) {
-                if (!idle.empty())
-                    idle += ", ";
-                idle += slotName(static_cast<tpc::Slot>(s));
-            }
-        }
-        if (!idle.empty()) {
-            Diagnostic d;
-            d.rule = rules::slotImbalance;
-            d.severity = Severity::Info;
-            d.message = strfmt(
-                "static packing predicts the %s slot saturated "
-                "(%.0f%% occupancy) while %s slot%s idle",
-                slotName(static_cast<tpc::Slot>(best_slot)),
-                100.0 * best_occ, idle.c_str(),
-                idle.find(',') == std::string::npos ? " is"
-                                                    : "s are");
-            d.fixHint = strfmt(
-                "move work across slots or accept the %s-bound "
-                "roofline",
-                slotName(static_cast<tpc::Slot>(best_slot)));
-            ctx.sink.add(std::move(d));
-        }
-    } else if (stall_frac > 0.3 && best_occ < 0.5) {
-        Diagnostic d;
-        d.rule = rules::slotImbalance;
-        d.severity = Severity::Warning;
-        d.costCycles = ctx.schedule.stallCycles;
-        d.message = strfmt(
-            "no VLIW slot exceeds %.0f%% predicted occupancy while "
-            "%.0f%% of cycles stall: the body exposes too little ILP",
-            100.0 * best_occ, 100.0 * stall_frac);
-        d.fixHint = "unroll deeper or add independent accumulator "
-                    "chains";
-        ctx.sink.add(std::move(d));
-    }
-}
 
 void
 passRegisterPressure(PassContext &ctx)
@@ -272,7 +110,8 @@ void
 passSwpOpportunity(PassContext &ctx)
 {
     const tpc::Program &program = *ctx.ir.program;
-    if (ctx.schedule.instrs.size() != program.instrs().size())
+    const std::vector<tpc::IssuedInstr> &issued = ctx.schedule.issue.instrs;
+    if (issued.size() != program.instrs().size())
         return;
     // Child-bearing loops are pipelined by pipelining their inner
     // loops first; only analyze leaves.
@@ -293,11 +132,10 @@ passSwpOpportunity(PassContext &ctx)
             loop.first +
             loop.bodyLength *
                 static_cast<std::size_t>(loop.tripCount - 1);
-        if (last_iter_first >= ctx.schedule.instrs.size())
+        if (last_iter_first >= issued.size())
             continue;
         const double achieved_ii =
-            (ctx.schedule.instrs[last_iter_first].issueCycle -
-             ctx.schedule.instrs[first].issueCycle) /
+            (issued[last_iter_first].issueCycle - issued[first].issueCycle) /
             static_cast<double>(loop.tripCount - 1);
 
         // Lower bounds no schedule beats: resource (busiest slot per

@@ -2,28 +2,28 @@
  * @file
  * Pre-execution static analyzer over recorded TPC kernel traces.
  *
- * The sibling of analysis/analyzer.h with the measurement removed:
- * where analyzeProgram replays the cycle simulator and attributes its
- * IssueTrace, analyzeProgramStatic lifts the trace to SSA IR
- * (analysis/static/ir.h), runs dataflow passes over that IR, and
- * predicts issue cycles with the static cost model
- * (analysis/static/cost_model.h) — no simulator cycle is consumed.
+ * The sibling of analysis/analyzer.h that moves no counter: where
+ * analyzeProgram charges the evaluated trace to the `tpc.*` counters,
+ * analyzeProgramStatic lifts the trace to SSA IR (analysis/static/ir.h)
+ * and schedules it with the same timing model (cost_model.h), then
+ * adds what the IR knows: loop context, live ranges and roofline
+ * bounds.
  *
- * Every trace rule with a static counterpart (exposed-latency,
- * narrow-access, random-should-stream, slot-imbalance, dead-value,
- * redundant-reload, local-overflow, invalid-ssa) produces the same
- * finding set through both pipelines on the registered kernels;
- * tests/analysis/test_static_cost.cc pins that parity. Two passes are
- * static-only: register-pressure (live-range analysis against the TPC
- * local-memory budget) and swp-opportunity (loops whose achieved
- * initiation interval trails their recurrence/resource bound, i.e.
- * software pipelining would pay).
+ * The eight trace rules (exposed-latency, narrow-access,
+ * random-should-stream, slot-imbalance, dead-value, redundant-reload,
+ * local-overflow, invalid-ssa) are detected once, in kernel_rules.h, so
+ * both analyzers report the same findings and differ only in wording;
+ * the static wording adds loop context and a fix hint. The remaining
+ * passes are static-only: register-pressure (live-range analysis
+ * against the TPC local-memory budget), swp-opportunity (loops whose
+ * achieved initiation interval trails their recurrence/resource bound,
+ * i.e. software pipelining would pay) and the migration-aware passes.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_STATIC_ANALYZER_H
 #define VESPERA_ANALYSIS_STATIC_STATIC_ANALYZER_H
 
-#include "analysis/analyzer.h"
+#include "analysis/kernel_rules.h"
 #include "analysis/static/cost_model.h"
 #include "analysis/static/ir.h"
 
@@ -54,20 +54,11 @@ inline constexpr const char *loweredPipelining = "lowered-pipelining";
 /// @}
 } // namespace rules
 
-/** Static-analyzer knobs. Defaults match the simulated Gaudi-2 TPC
- *  and the trace analyzer's thresholds (parity depends on it). */
-struct StaticAnalyzerOptions
+/** Static-analyzer knobs: the trace analyzer's, plus lifting and
+ *  static-only pass thresholds. `exportCounters` publishes
+ *  "analysis.static.diag.<rule>". */
+struct StaticAnalyzerOptions : AnalyzerOptions
 {
-    tpc::TpcParams params = tpc::TpcParams::forGaudi2();
-    Bytes localMemoryBytes = 80 * 1024;
-    int maxDiagnosticsPerRule = 8;
-    /// Predicted dependency stall below which no exposed-latency
-    /// diagnostic is emitted (same default as AnalyzerOptions).
-    double minStallCycles = 3.0;
-    int minSequentialRun = 4;
-    /// Publish per-rule counts as "analysis.static.diag.<rule>".
-    bool exportCounters = true;
-
     /// @name IR lifting.
     /// @{
     std::size_t maxLoopPeriod = 128;
@@ -99,10 +90,10 @@ struct StaticReport
 {
     /// Diagnostics / per-rule summaries / slot counts, in the same
     /// shape the trace analyzer emits (predictedStallCycles and the
-    /// per-cause stalls come from the cost model; measuredStallCycles
-    /// stays 0 — nothing was measured).
+    /// per-cause stalls come from the schedule; measuredStallCycles
+    /// stays 0 — no counter moved).
     Report report;
-    /// The full static schedule (per-instruction issue prediction).
+    /// The issue schedule and its roofline.
     StaticSchedule schedule;
 
     /// @name IR shape.
@@ -118,12 +109,12 @@ struct StaticReport
     Bytes peakLiveBytes = 0;
     /// @}
 
-    /// Predicted issue cycles (schedule.cycles; the number the cost
-    /// model is cross-validated on).
+    /// Predicted issue cycles (schedule.cycles).
     double predictedCycles() const { return schedule.cycles; }
 };
 
-/** Analyze one recorded trace statically. Never runs the simulator. */
+/** Analyze one recorded trace statically. Moves no counter but the
+ *  "analysis.static.*" rule counts. */
 StaticReport
 analyzeProgramStatic(const tpc::Program &program,
                      const StaticAnalyzerOptions &options = {});

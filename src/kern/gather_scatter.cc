@@ -103,8 +103,13 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
                         idx[static_cast<std::size_t>(j + u)];
                     tpc::Int5 coord{0, target, 0, 0, 0};
                     if (scatter) {
+                        // Slices scatter into shared rows at random, so
+                        // a store that wrote lanes could race another
+                        // worker's. It would store zeros into zeroed
+                        // storage nothing reads, so it writes no lane
+                        // (lane_limit 0) and records the same store.
                         ctx.v_st_tnsr(coord, array, accs[0],
-                                      tpc::Access::Random);
+                                      tpc::Access::Random, 0);
                     } else {
                         vs.push_back(ctx.v_ld_tnsr(coord, array,
                                                    vec_bytes,

@@ -18,14 +18,14 @@
 #include "analysis/predict/features.h"
 #include "analysis/predict/proxy.h"
 #include "analysis/predict/tunable.h"
-#include "analysis/static/cost_model.h"
 #include "analysis/static/ir.h"
+#include "tpc/pipeline.h"
 
 namespace vespera::analysis {
 namespace {
 
 /// The accuracy contract (proxy.h): held-out shapes within ±15% of
-/// scheduleStatic for every registry kernel family.
+/// tpc::evaluatePipeline for every registry kernel family.
 constexpr double kContractErr = 0.15;
 
 TEST(PredictProxy, BuiltinMatchesCommittedArtifact)
@@ -74,7 +74,8 @@ TEST(PredictProxy, HeldOutAccuracyContract)
             const tpc::Program program = k.produce(c);
             const StaticIr ir = liftProgram(program);
             ASSERT_TRUE(ir.valid()) << name;
-            const double exact = scheduleStatic(ir, params).cycles;
+            const double exact =
+                tpc::evaluatePipeline(program, params).cycles;
             const double predicted = model.predictBasis(
                 name, extractFeatures(ir, params).basis());
             EXPECT_LE(std::fabs(predicted - exact) /

@@ -4,6 +4,7 @@
 #include "digest.h"
 #include "kern/embedding.h"
 #include "obs/counters.h"
+#include "runtime/pool.h"
 
 namespace vespera::kern {
 namespace {
@@ -145,7 +146,8 @@ TEST(Embedding, UtilizationGrowsWithVectorSize)
 // members and one of 3; batch 7 over 5 tables leaves 17 TPCs idle per
 // table. One case overrides unroll and interleave so a slice's last
 // member group is short. Each run also passes its own check of every
-// pooled output its simulated slices produced.
+// pooled output its simulated slices produced, serially and on 4 pool
+// threads.
 TEST(Embedding, SmallMatchesReference)
 {
     struct Case
@@ -184,26 +186,32 @@ TEST(Embedding, SmallMatchesReference)
          "0x1.178f7de1dc9c2p-18 44800 0x1.1e8062062475ap-8 1",
          "96ddc7c10f9eeb75"},
     };
-    Rng rng(11);
-    for (const Case &k : cases) {
-        EmbeddingConfig c = smallConfig();
-        c.rowsPerTable = 1 << 10;
-        c.batch = k.batch;
-        c.numTables = k.tables;
-        c.pooling = 5;
-        const EmbeddingLayerGaudi layer(c);
-        obs::CounterRegistry::instance().reset();
-        const EmbeddingResult r =
-            layer.run(k.variant, rng, k.unroll, k.interleave);
-        SCOPED_TRACE(strfmt("%s, batch %d",
-                            embeddingVariantName(k.variant), k.batch));
-        EXPECT_EQ(strfmt("%a %llu %a %d", r.time,
-                         static_cast<unsigned long long>(r.gatheredBytes),
-                         r.hbmUtilization, r.kernelLaunches),
-                  k.expected);
-        EXPECT_EQ(test::counterDigest({"tpc.", "attrib.tpc."}),
-                  k.counters);
+    for (const int threads : {1, 4}) {
+        runtime::Pool::setGlobalThreads(threads);
+        Rng rng(11);
+        for (const Case &k : cases) {
+            EmbeddingConfig c = smallConfig();
+            c.rowsPerTable = 1 << 10;
+            c.batch = k.batch;
+            c.numTables = k.tables;
+            c.pooling = 5;
+            const EmbeddingLayerGaudi layer(c);
+            obs::CounterRegistry::instance().reset();
+            const EmbeddingResult r =
+                layer.run(k.variant, rng, k.unroll, k.interleave);
+            SCOPED_TRACE(strfmt("%s, batch %d, %d threads",
+                                embeddingVariantName(k.variant), k.batch,
+                                threads));
+            EXPECT_EQ(strfmt("%a %llu %a %d", r.time,
+                             static_cast<unsigned long long>(
+                                 r.gatheredBytes),
+                             r.hbmUtilization, r.kernelLaunches),
+                      k.expected);
+            EXPECT_EQ(test::counterDigest({"tpc.", "attrib.tpc."}),
+                      k.counters);
+        }
     }
+    runtime::Pool::setGlobalThreads(1);
 }
 
 TEST(EmbeddingDeath, RejectsBadVectorSize)

@@ -4,6 +4,7 @@
 #include "digest.h"
 #include "kern/gather_scatter.h"
 #include "obs/counters.h"
+#include "runtime/pool.h"
 
 namespace vespera::kern {
 namespace {
@@ -109,7 +110,9 @@ TEST(GatherScatter, DeeperUnrollHelps)
 // printed when every row of the array was filled and every TPC was
 // simulated; `counters` pins the tpc.* and attrib.tpc.* counters
 // (value, peak, update count) from that build. The gather run also
-// passes its own functional check of the gathered rows.
+// passes its own functional check of the gathered rows. Each case
+// runs serially and on 4 pool threads, where scatter slices store into
+// rows other slices share.
 TEST(Gather, SmallMatchesReference)
 {
     struct Case
@@ -141,22 +144,30 @@ TEST(Gather, SmallMatchesReference)
          "0x1.1b60378ae5d84p-18 307200 0x1.e4885f87ebf3fp-6",
          "5882a874537c24c5"},
     };
-    Rng rng(9);
-    for (const Case &k : cases) {
-        GatherScatterConfig c = smallConfig(k.vectorBytes);
-        c.numVectors = 3000;
-        c.scatter = k.scatter;
-        c.accessFraction = k.fraction;
-        c.numTpcs = k.numTpcs;
-        obs::CounterRegistry::instance().reset();
-        const GatherScatterResult r = runGatherScatterGaudi(c, rng);
-        EXPECT_EQ(strfmt("%a %llu %a", r.time,
-                         static_cast<unsigned long long>(r.usefulBytes),
-                         r.hbmUtilization),
-                  k.expected);
-        EXPECT_EQ(test::counterDigest({"tpc.", "attrib.tpc."}),
-                  k.counters);
+    for (const int threads : {1, 4}) {
+        runtime::Pool::setGlobalThreads(threads);
+        Rng rng(9);
+        for (const Case &k : cases) {
+            GatherScatterConfig c = smallConfig(k.vectorBytes);
+            c.numVectors = 3000;
+            c.scatter = k.scatter;
+            c.accessFraction = k.fraction;
+            c.numTpcs = k.numTpcs;
+            SCOPED_TRACE(strfmt("%s x%d, %d threads",
+                                k.scatter ? "scatter" : "gather",
+                                k.numTpcs, threads));
+            obs::CounterRegistry::instance().reset();
+            const GatherScatterResult r = runGatherScatterGaudi(c, rng);
+            EXPECT_EQ(strfmt("%a %llu %a", r.time,
+                             static_cast<unsigned long long>(
+                                 r.usefulBytes),
+                             r.hbmUtilization),
+                      k.expected);
+            EXPECT_EQ(test::counterDigest({"tpc.", "attrib.tpc."}),
+                      k.counters);
+        }
     }
+    runtime::Pool::setGlobalThreads(1);
 }
 
 // Config errors name the offending field and its value.

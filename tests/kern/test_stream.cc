@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "kern/stream.h"
+#include "runtime/pool.h"
 
 namespace vespera::kern {
 namespace {
@@ -139,7 +140,7 @@ TEST(Stream, CrossoverBetweenDevices)
 // A ragged size (65573 elements: 23 slices of 2733 and a 2714 tail,
 // neither a multiple of the 128-lane vector) returns, bit for bit, the
 // results that simulating and verifying every slice on fully filled
-// arrays gave.
+// arrays gave, serially and on 4 pool threads.
 TEST(Stream, RaggedSizeMatchesReference)
 {
     struct Ref
@@ -174,21 +175,27 @@ TEST(Stream, RaggedSizeMatchesReference)
           0x1.7f62c54730a1dp-9, 0x1.37df2c17a0d8bp-5,
           0x1.5fcd275950177p-2}},
     };
-    for (const Ref &ref : refs) {
-        StreamConfig c;
-        c.op = ref.op;
-        c.numElements = (1 << 16) + 37;
-        c.numTpcs = ref.numTpcs;
-        const StreamResult r = runStreamGaudi(c);
-        SCOPED_TRACE(testing::Message() << streamOpName(ref.op) << " x"
-                                        << ref.numTpcs);
-        EXPECT_EQ(r.time, ref.want.time);
-        EXPECT_EQ(r.flops, ref.want.flops);
-        EXPECT_EQ(r.gflops, ref.want.gflops);
-        EXPECT_EQ(r.vectorUtilization, ref.want.vectorUtilization);
-        EXPECT_EQ(r.hbmUtilization, ref.want.hbmUtilization);
-        EXPECT_EQ(r.operationalIntensity, ref.want.operationalIntensity);
+    for (const int threads : {1, 4}) {
+        runtime::Pool::setGlobalThreads(threads);
+        for (const Ref &ref : refs) {
+            StreamConfig c;
+            c.op = ref.op;
+            c.numElements = (1 << 16) + 37;
+            c.numTpcs = ref.numTpcs;
+            const StreamResult r = runStreamGaudi(c);
+            SCOPED_TRACE(testing::Message()
+                         << streamOpName(ref.op) << " x" << ref.numTpcs
+                         << ", " << threads << " threads");
+            EXPECT_EQ(r.time, ref.want.time);
+            EXPECT_EQ(r.flops, ref.want.flops);
+            EXPECT_EQ(r.gflops, ref.want.gflops);
+            EXPECT_EQ(r.vectorUtilization, ref.want.vectorUtilization);
+            EXPECT_EQ(r.hbmUtilization, ref.want.hbmUtilization);
+            EXPECT_EQ(r.operationalIntensity,
+                      ref.want.operationalIntensity);
+        }
     }
+    runtime::Pool::setGlobalThreads(1);
 }
 
 // Config errors name the offending field and its value.

@@ -370,15 +370,22 @@ streamedCases()
     gather.vectorBytes = 64;
     gather.accessFraction = 0.3;
     gather.numTpcs = 7;
-    cases.push_back({"gather x7", [gather] {
-                         Rng rng(9);
-                         const kern::GatherScatterResult r =
-                             kern::runGatherScatterGaudi(gather, rng);
-                         return strfmt("%a %llu %a", r.time,
-                                       static_cast<unsigned long long>(
-                                           r.usefulBytes),
-                                       r.hbmUtilization);
-                     }});
+    // Scatter slices store into shared rows at random; their stores
+    // write no lane, so running them on parallel workers is race-free.
+    for (const bool scatter : {false, true}) {
+        kern::GatherScatterConfig c = gather;
+        c.scatter = scatter;
+        cases.push_back({scatter ? "scatter x7" : "gather x7", [c] {
+                             Rng rng(9);
+                             const kern::GatherScatterResult r =
+                                 kern::runGatherScatterGaudi(c, rng);
+                             return strfmt(
+                                 "%a %llu %a", r.time,
+                                 static_cast<unsigned long long>(
+                                     r.usefulBytes),
+                                 r.hbmUtilization);
+                         }});
+    }
     for (const kern::EmbeddingVariant v :
          {kern::EmbeddingVariant::SingleTable,
           kern::EmbeddingVariant::BatchedTable}) {

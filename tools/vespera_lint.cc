@@ -7,13 +7,13 @@
  *
  *  - trace (default): runs every kernel registered in
  *    analysis::KernelRegistry under trace capture, analyzes each
- *    recorded tpc::Program against the cycle simulator's IssueTrace,
+ *    recorded tpc::Program against the timing model's IssueTrace,
  *    lints the DLRM dense graph at raw and compiled stages, and
  *    reports findings as text and/or JSON (schema "vespera-lint/v1").
  *
  *  - static: lifts the same recorded traces to SSA IR and runs the
- *    pre-execution analyzer (analysis/static/) — dataflow passes plus
- *    the static cost model — without consuming a simulator cycle.
+ *    pre-execution analyzer (analysis/static/): the shared rules, the
+ *    static-only passes and the roofline bounds, moving no counter.
  *    Reports use schema "vespera-lint-static/v1" (per-finding fix
  *    hints, IR shape, predicted-cycle breakdown).
  *
@@ -32,12 +32,14 @@
  *    proxy-screens the knob cross product, exact-verifies the top-k,
  *    and reports the best configuration found as a fix hint. Reports
  *    use schema "vespera-lint-tune/v1". `tune --calibrate=PATH`
- *    refits the proxy coefficients against the exact static scheduler
+ *    refits the proxy coefficients against the timing model
  *    and writes the versioned artifact instead of tuning.
  *
- * CI runs all modes with checked-in warnings baselines: any
- * error-severity finding, or any warning count above the baseline,
- * fails the build.
+ * CI runs all modes with checked-in baselines: any error-severity
+ * finding, or any warning count above the baseline, fails the build.
+ * Trace and static runs check one warnings baseline
+ * (tools/lint_baseline.json), which only `static` writes: it is the
+ * mode that reports every rule the file budgets.
  *
  * Usage:
  *   vespera-lint [static|tune|migrate] [--list] [--kernel=SUBSTR]
@@ -124,7 +126,7 @@ usage(const char *argv0)
         "  --coeffs=PATH          tune: proxy coefficients JSON\n"
         "                         (default: built-in artifact)\n"
         "  --calibrate=PATH       tune: refit the proxy against the\n"
-        "                         static scheduler, write coefficients\n"
+        "                         timing model, write coefficients\n"
         "                         to PATH, and exit\n"
         "  --list                 list registered kernels and exit\n"
         "  --kernel=SUBSTR        only kernels whose name contains "
@@ -569,6 +571,18 @@ main(int argc, char **argv)
     Options opt;
     if (!parseArgs(argc, argv, opt))
         return usage(argv[0]);
+    // Trace and static runs share one warnings baseline, which also
+    // budgets the static-only rules a trace run never reports; a trace
+    // rewrite would drop those budgets.
+    if (!opt.staticMode && !opt.tuneMode && !opt.migrateMode &&
+        (!opt.writeBaselinePath.empty() || opt.updateBaseline)) {
+        std::fprintf(stderr,
+                     "%s: the warnings baseline is written by "
+                     "'vespera-lint static' (it also budgets the "
+                     "static-only rules); trace mode only checks it\n",
+                     argv[0]);
+        return 2;
+    }
 
     vespera::analysis::registerBuiltinKernels();
     vespera::analysis::registerTunableKernels();
