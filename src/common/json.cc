@@ -209,8 +209,13 @@ class Parser
     bool
     parseValue(Value &out, int depth)
     {
-        if (depth > maxDepth_)
-            return fail("nesting too deep");
+        // Bounded recursion: a hostile document cannot overflow the
+        // stack, and the message names the depth it reached.
+        if (depth > maxDepth_) {
+            return fail(strfmt("nesting depth %d exceeds the limit of %d",
+                               depth, maxDepth_)
+                            .c_str());
+        }
         if (pos_ >= text_.size())
             return fail("unexpected end");
         const char c = text_[pos_];

@@ -73,7 +73,9 @@ class Value
 /**
  * Parse a JSON document. Returns false (and fills `error` with a
  * byte-offset message, when non-null) on malformed input; `out` is
- * unspecified on failure.
+ * unspecified on failure. A value nested more than 64 containers deep
+ * fails ("nesting depth 65 exceeds the limit of 64 at byte N"), so no
+ * input can exhaust the stack.
  */
 bool parse(const std::string &text, Value &out,
            std::string *error = nullptr);

@@ -12,7 +12,7 @@
  *    OpCost, keyed by its full cost payload + device, so a new context
  *    bucket re-evaluates only the attention node;
  *  - the **step memo** (`replay.step.*`) stores a model step's StepEval
- *    (models::LlamaModel::stepReport), skipping graph construction and
+ *    (models::LlamaModel::stepEval), skipping graph construction and
  *    compilation on repeat steps (the fig12 sweep point's >=3x gate).
  *
  * Both bypass themselves while the obs::Profiler traces. Their

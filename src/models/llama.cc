@@ -222,20 +222,15 @@ LlamaModel::buildStepGraph(DeviceKind device, int batch,
     return g;
 }
 
-graph::ExecutionReport
-LlamaModel::stepReport(DeviceKind device, int batch,
-                       int tokens_per_request, std::int64_t context_len,
-                       bool prefill, const LlamaServingConfig &cfg) const
+graph::StepEval
+LlamaModel::stepEval(DeviceKind device, int batch, int tokens_per_request,
+                     std::int64_t context_len, bool prefill,
+                     const LlamaServingConfig &cfg) const
 {
-    // Whole-step evaluation is kernel-eval work on the host clock; the
-    // nested GraphBuild timer inside buildStepGraph carves its own
-    // share out, so the two categories never double-count.
-    obs::SelfTimer self(obs::SelfCat::KernelEval);
-
     // Step memo (replay_cache.h): the evaluation — graph build,
     // compile, both graphs' per-node costs — is a pure function of the
     // architecture + step shape, so repeat steps skip even the graph
-    // construction. Hit or miss, the step then folds both graphs.
+    // construction.
     const std::string key = strfmt(
         "llama_step|%s|l%d.h%d.i%d.q%d.kv%d.d%d.v%d|%s|b%d|t%d|ctx%lld"
         "|p%d|tp%d|a%d|%s",
@@ -246,7 +241,7 @@ LlamaModel::stepReport(DeviceKind device, int batch,
         prefill ? 1 : 0, cfg.tpDevices, static_cast<int>(cfg.attention),
         dtypeName(cfg.dt));
 
-    graph::StepEval step = graph::stepReplayCache().runMemoized(key, [&] {
+    return graph::stepReplayCache().runMemoized(key, [&] {
         // The step's transient containers (graph nodes, compiler
         // scratch) bump-allocate from this thread's scratch arena and
         // are reclaimed wholesale on scope exit; the scope outlives
@@ -281,8 +276,27 @@ LlamaModel::stepReport(DeviceKind device, int batch,
         eval.graphs.push_back(std::move(head_rep.perNode));
         return eval;
     });
-    for (const auto &costs : step.graphs)
+}
+
+void
+LlamaModel::foldStep(const std::vector<std::vector<graph::OpCost>> &graphs)
+{
+    for (const auto &costs : graphs)
         graph::Executor::fold(costs);
+}
+
+graph::ExecutionReport
+LlamaModel::stepReport(DeviceKind device, int batch,
+                       int tokens_per_request, std::int64_t context_len,
+                       bool prefill, const LlamaServingConfig &cfg) const
+{
+    // Whole-step evaluation is kernel-eval work on the host clock; the
+    // nested GraphBuild timer inside buildStepGraph carves its own
+    // share out, so the two categories never double-count.
+    obs::SelfTimer self(obs::SelfCat::KernelEval);
+    graph::StepEval step = stepEval(device, batch, tokens_per_request,
+                                    context_len, prefill, cfg);
+    foldStep(step.graphs);
     return std::move(step.report);
 }
 

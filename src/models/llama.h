@@ -17,6 +17,7 @@
 #include <string>
 
 #include "graph/executor.h"
+#include "graph/replay_cache.h"
 #include "hw/power.h"
 #include "kern/paged_attention.h"
 
@@ -90,15 +91,36 @@ class LlamaModel
                       const LlamaServingConfig &cfg) const;
 
     /**
-     * Time one forward step. `tokensPerRequest` is the number of new
-     * tokens processed per request (inputLen for prefill, 1 for
-     * decode); `contextLen` is the KV length attended to.
+     * Time one forward step: stepEval(), then foldStep().
+     * `tokensPerRequest` is the number of new tokens processed per
+     * request (inputLen for prefill, 1 for decode); `contextLen` is
+     * the KV length attended to.
      */
     graph::ExecutionReport stepReport(DeviceKind device, int batch,
                                       int tokens_per_request,
                                       std::int64_t context_len,
                                       bool prefill,
                                       const LlamaServingConfig &cfg) const;
+
+    /**
+     * One forward step's evaluation through the step memo
+     * (graph/replay_cache.h): the composed report plus the per-node
+     * costs of its layer and LM-head graphs. Charges nothing and
+     * starts no SelfProf timer (stepReport() times it as
+     * kernel_eval); every use folds it with foldStep().
+     */
+    graph::StepEval stepEval(DeviceKind device, int batch,
+                             int tokens_per_request,
+                             std::int64_t context_len, bool prefill,
+                             const LlamaServingConfig &cfg) const;
+
+    /**
+     * Charge a step evaluation's graphs, graph by graph, through
+     * graph::Executor::fold: what stepReport() and every memoized
+     * reuse of a StepEval's graphs run, hit or miss.
+     */
+    static void
+    foldStep(const std::vector<std::vector<graph::OpCost>> &graphs);
 
     /** Convenience: wall time of one step. */
     Seconds stepTime(DeviceKind device, int batch,

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "obs/capture.h"
+#include "obs/profiler.h"
 #include "obs/selfprof.h"
 #include "serve/engine_run.h"
 
@@ -12,9 +13,7 @@ namespace vespera::serve {
 namespace {
 
 /// Harvest the step fields the engine (and its timeline gauges) care
-/// about from a full execution report. stepReport() is memoized by the
-/// step replay cache exactly like stepTime() — stepTime *is*
-/// stepReport().time — so this changes no values and no side effects.
+/// about from a full execution report.
 StepCost
 costOf(const graph::ExecutionReport &r)
 {
@@ -67,16 +66,38 @@ Engine::prefillChunkTime(int chunk, std::int64_t ctx)
     const int bucket = (chunk + 63) / 64 * 64;
     const std::int64_t ctx_bucket = std::max<std::int64_t>(
         bucket, (ctx + 255) / 256 * 256);
+    // Like the replay caches, the memo steps aside while the Profiler
+    // traces, so every traced chunk is evaluated and samples its tracks.
+    const bool tracing = obs::Profiler::instance().enabled();
+    const auto key = std::make_pair(bucket, ctx_bucket);
+    auto it = tracing ? chunkCache_.end() : chunkCache_.find(key);
     if (obs::SelfProf::instance().enabled()) {
-        // Chunked prefill is evaluated fresh every time (no cache), so
-        // each call is a kernel-eval miss in the self-profile.
-        obs::SelfProf::instance().cacheMiss(
+        const std::string ck =
             strfmt("prefill_chunk|%s|n%d|ctx%lld",
                    deviceName(config_.device), bucket,
-                   static_cast<long long>(ctx_bucket)));
+                   static_cast<long long>(ctx_bucket));
+        if (it == chunkCache_.end())
+            obs::SelfProf::instance().cacheMiss(ck);
+        else
+            obs::SelfProf::instance().cacheHit(ck);
     }
-    return costOf(model_.stepReport(config_.device, 1, bucket,
-                                    ctx_bucket, true, servingCfg_));
+    if (tracing)
+        return costOf(model_.stepReport(config_.device, 1, bucket,
+                                        ctx_bucket, true, servingCfg_));
+    // A miss's evaluation and every call's fold are kernel-eval work,
+    // as in stepReport().
+    obs::SelfTimer self(obs::SelfCat::KernelEval);
+    if (it == chunkCache_.end()) {
+        graph::StepEval eval = model_.stepEval(
+            config_.device, 1, bucket, ctx_bucket, true, servingCfg_);
+        it = chunkCache_
+                 .emplace(key, ChunkStep{costOf(eval.report),
+                                         std::move(eval.graphs)})
+                 .first;
+    }
+    // Every chunk charges its step, hit or miss, as stepReport() does.
+    models::LlamaModel::foldStep(it->second.graphs);
+    return it->second.cost;
 }
 
 StepCost
@@ -438,7 +459,7 @@ Engine::RunState::finishPrefill(std::size_t idx)
     }
     if (requestFinished(r)) {
         r.finishTime = clock;
-        kv.release(r.id);
+        kv.release(static_cast<std::int64_t>(idx));
         remaining--;
         if (flow_trace)
             releaseSlot(idx);
@@ -503,14 +524,15 @@ Engine::RunState::admitArrived()
     // Admission: arrived requests into free slots, KV permitting.
     while (!waiting.empty()) {
         const Request &r = trace[waiting.front()];
+        const auto seq = static_cast<std::int64_t>(waiting.front());
         const bool slot_free =
             static_cast<int>(running.size() + prefill_queue.size()) <
             eng.config_.maxDecodeBatch;
         if (r.arrival > clock || !slot_free ||
-            !kv.canGrow(r.id, reserveTokens(r))) {
+            !kv.canGrow(seq, reserveTokens(r))) {
             break;
         }
-        kv.grow(r.id, reserveTokens(r));
+        kv.grow(seq, reserveTokens(r));
         prefill_queue.push_back(waiting.front());
         waiting.pop_front();
         if (spf_sorted > 0)
@@ -555,7 +577,8 @@ Engine::RunState::preemptScan()
         tlAdvance(clock);
     for (std::size_t k = running.size(); k-- > 0;) {
         Request &r = trace[running[k]];
-        if (!kv.grow(r.id, r.inputLen + r.generated + 1)) {
+        if (!kv.grow(static_cast<std::int64_t>(running[k]),
+                     r.inputLen + r.generated + 1)) {
             if (flow_trace) {
                 flowSpan(r, "decode (preempted)",
                          kLaneSlot0 + slot_of[running[k]],
@@ -564,7 +587,7 @@ Engine::RunState::preemptScan()
                 episodes[running[k]]++;
                 phase_start[running[k]] = clock;
             }
-            kv.release(r.id);
+            kv.release(static_cast<std::int64_t>(running[k]));
             r.generated = 0;
             r.prefilled = false;
             r.prefillProgress = 0;
@@ -666,7 +689,7 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
                              phase_start[running[k]]);
                     releaseSlot(running[k]);
                 }
-                kv.release(r.id);
+                kv.release(static_cast<std::int64_t>(running[k]));
                 running.erase(running.begin() +
                               static_cast<std::ptrdiff_t>(k));
                 remaining--;

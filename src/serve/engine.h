@@ -10,12 +10,17 @@
  * preempted and re-queued. Step latencies come from the LlamaModel's
  * graph execution with the configured attention backend.
  *
- * Step costs are memoized per engine in plain value maps keyed by
- * batch and context bucket: a decode run revisits the same few buckets
- * thousands of times, and a map hit is far cheaper than even a step
- * replay-cache hit (docs/runtime.md). A miss evaluates the step
- * eagerly on the calling thread, so counter side effects land in
- * schedule order at any thread count.
+ * Step costs are memoized per engine in plain maps keyed by batch and
+ * context bucket: a decode run revisits the same few buckets thousands
+ * of times, and a map hit is far cheaper than even a step replay-cache
+ * hit (docs/runtime.md). A miss evaluates the step eagerly on the
+ * calling thread, so counter side effects land in schedule order at
+ * any thread count. The decode and monolithic-prefill memos charge a
+ * step once, at its miss; the chunked-prefill memo keeps the step's
+ * per-node costs and folds them on every call, hit or miss, so its
+ * counters see every chunk. Like the replay caches, the chunk memo
+ * steps aside while the Profiler traces, so traced chunks sample the
+ * executor's counter tracks on every call.
  */
 
 #ifndef VESPERA_SERVE_ENGINE_H
@@ -173,6 +178,17 @@ class Engine
     std::map<std::pair<int, std::int64_t>, StepCost> decodeCache_;
     /// Memoized monolithic prefill step times keyed by input bucket.
     std::map<int, StepCost> prefillCache_;
+    /// A memoized prefill chunk: its cost plus the per-node costs of
+    /// its layer and LM-head graphs, which every call folds again.
+    struct ChunkStep
+    {
+        StepCost cost;
+        std::vector<std::vector<graph::OpCost>> graphs;
+    };
+    /// Memoized prefill chunks keyed by (chunk bucket, ctx bucket).
+    /// Separate from prefillCache_: a chunk and a monolithic prefill
+    /// can share a bucket pair, but only the chunk folds on a hit.
+    std::map<std::pair<int, std::int64_t>, ChunkStep> chunkCache_;
     std::vector<EngineEvent> events_;
     Bytes kvBudget_ = 0;
 };

@@ -18,22 +18,29 @@ PagedKvCache::blocksFor(std::int64_t tokens) const
     return (tokens + blockTokens_ - 1) / blockTokens_;
 }
 
+std::int64_t
+PagedKvCache::held(std::int64_t seq_id) const
+{
+    vassert(seq_id >= 0, "KV sequence id %lld is negative",
+            static_cast<long long>(seq_id));
+    const auto i = static_cast<std::size_t>(seq_id);
+    return i < held_.size() ? held_[i] : 0;
+}
+
 bool
 PagedKvCache::canGrow(std::int64_t seq_id, std::int64_t want_tokens) const
 {
-    auto it = held_.find(seq_id);
-    const std::int64_t have = it == held_.end() ? 0 : it->second;
-    const std::int64_t need = blocksFor(want_tokens) - have;
+    const std::int64_t need = blocksFor(want_tokens) - held(seq_id);
     return need <= freeBlocks_;
 }
 
 bool
 PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
 {
-    // One lookup; the common decode-step case (the sequence still fits
-    // its blocks) returns before touching the counter registry.
-    auto it = held_.find(seq_id);
-    const std::int64_t have = it == held_.end() ? 0 : it->second;
+    // One indexed load; the common decode-step case (the sequence
+    // still fits its blocks) returns before touching the counter
+    // registry.
+    const std::int64_t have = held(seq_id);
     const std::int64_t want = blocksFor(tokens);
     const std::int64_t need = want - have;
     if (need <= 0)
@@ -46,10 +53,12 @@ PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
         return false;
     }
     freeBlocks_ -= need;
-    if (it == held_.end())
-        held_.emplace(seq_id, want);
-    else
-        it->second = want;
+    const auto i = static_cast<std::size_t>(seq_id);
+    if (i >= held_.size())
+        held_.resize(i + 1, 0);
+    if (have == 0)
+        active_++;
+    held_[i] = want;
     static obs::Counter &grown = registry.counter("kv.blocks_allocated");
     static obs::Counter &high = registry.counter("kv.blocks_high_water");
     grown.add(static_cast<double>(need));
@@ -61,11 +70,12 @@ PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
 void
 PagedKvCache::release(std::int64_t seq_id)
 {
-    auto it = held_.find(seq_id);
-    if (it == held_.end())
+    const std::int64_t have = held(seq_id);
+    if (have == 0)
         return;
-    freeBlocks_ += it->second;
-    held_.erase(it);
+    freeBlocks_ += have;
+    held_[static_cast<std::size_t>(seq_id)] = 0;
+    active_--;
     vassert(freeBlocks_ <= totalBlocks_, "double release");
 }
 

@@ -14,13 +14,20 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.h"
 
 namespace vespera::serve {
 
-/** vLLM-style paged allocator (block granularity, on demand). */
+/**
+ * vLLM-style paged allocator (block granularity, on demand).
+ *
+ * Sequence ids index a flat per-sequence table that grows to the
+ * largest id seen, so ids should be dense small integers: the engine
+ * passes each request's index in its trace, not Request::id. A
+ * negative id is a fatal error that names it.
+ */
 class PagedKvCache
 {
   public:
@@ -48,17 +55,19 @@ class PagedKvCache
     std::int64_t freeBlocks() const { return freeBlocks_; }
     std::int64_t totalBlocks() const { return totalBlocks_; }
     int blockTokens() const { return blockTokens_; }
-    std::int64_t activeSequences() const
-    {
-        return static_cast<std::int64_t>(held_.size());
-    }
+    /** Sequences currently holding at least one block. */
+    std::int64_t activeSequences() const { return active_; }
 
   private:
+    /** Blocks `seq_id` holds (0 past the table's end). */
+    std::int64_t held(std::int64_t seq_id) const;
+
     std::int64_t totalBlocks_;
     int blockTokens_;
     std::int64_t freeBlocks_;
-    /// seq -> blocks.
-    std::unordered_map<std::int64_t, std::int64_t> held_;
+    std::int64_t active_ = 0;
+    /// Blocks held, indexed by sequence id (0: none).
+    std::vector<std::int64_t> held_;
 };
 
 /**

@@ -114,7 +114,8 @@ TpcDispatcher::launch(const Kernel &kernel, const IndexSpace &space,
         if (!observed)
             arena.emplace(mem::Arena::scratch());
 
-        PipelineEvaluator eval(params.tpc);
+        PipelineEvaluator eval(params.tpc, nullptr,
+                               /*sampleStalls=*/true);
         Program program(eval, observed);
         program.setKernelName(params.kernelName);
         TpcContext ctx(program, plan.slices[static_cast<std::size_t>(t)],

@@ -57,9 +57,9 @@ resultLatency(const Instr &instr, const TpcParams &params)
 }
 
 PipelineEvaluator::PipelineEvaluator(const TpcParams &params,
-                                     IssueTrace *trace)
+                                     IssueTrace *trace, bool sampleStalls)
     : params_(params), trace_(trace),
-      sampling_(obs::Profiler::instance().enabled())
+      sampling_(sampleStalls && obs::Profiler::instance().enabled())
 {
     vassert(params.clock > 0 && params.granule > 0, "bad TPC parameters");
     if (trace_ != nullptr) {

@@ -118,14 +118,17 @@ struct IssueTrace
  *
  * When `trace` is non-null it receives one IssuedInstr per issue() and
  * the drain stall at finish(). Pure like evaluatePipeline: no counter
- * moves (while the Profiler traces, issue() samples the
- * `tpc.stall_cycles` track).
+ * moves. With `sampleStalls` set and the Profiler tracing, issue() and
+ * finish() sample the `tpc.stall_cycles` track; only the dispatcher's
+ * launches set it, so analysis replays of a trace leave the track to
+ * the launches it shows.
  */
 class PipelineEvaluator
 {
   public:
     explicit PipelineEvaluator(const TpcParams &params,
-                               IssueTrace *trace = nullptr);
+                               IssueTrace *trace = nullptr,
+                               bool sampleStalls = false);
 
     /** Issue the next instruction of the stream. */
     void issue(const Instr &instr);
@@ -144,8 +147,9 @@ class PipelineEvaluator
     double lastIssue_ = 0;   ///< In-order constraint.
     double completion_ = 0;
     PipelineResult r_;
-    /// Counter-track sampling of cumulative stall cycles (only while
-    /// the Profiler traces; checked once, not per instruction).
+    /// Counter-track sampling of cumulative stall cycles (only when
+    /// asked for and the Profiler traces; checked once, not per
+    /// instruction).
     bool sampling_;
     std::size_t sinceSample_ = 0;
 };
@@ -154,9 +158,8 @@ class PipelineEvaluator
  * Evaluate a stored trace under the timing model: PipelineEvaluator's
  * issue() over `program.instrs()`, then finish(). When `trace` is
  * non-null it is filled with the per-instruction issue schedule. Pure:
- * no counter moves (while the Profiler traces, it still samples the
- * `tpc.stall_cycles` track); the caller charges the result with
- * chargePipeline.
+ * no counter moves and no Profiler track is sampled; the caller
+ * charges the result with chargePipeline.
  */
 PipelineResult evaluatePipeline(const Program &program,
                                 const TpcParams &params,

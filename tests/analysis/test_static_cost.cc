@@ -21,6 +21,7 @@
 #include "analysis/kernel_registry.h"
 #include "analysis/static/static_report.h"
 #include "common/logging.h"
+#include "obs/profiler.h"
 #include "port/corpus.h"
 #include "tpc/context.h"
 #include "tpc/pipeline.h"
@@ -45,6 +46,42 @@ class StaticCostTest : public ::testing::Test
   protected:
     void SetUp() override { registerBuiltinKernels(); }
 };
+
+// Only dispatcher launches sample the Profiler's tpc.stall_cycles
+// track. Both analyzers and a bare evaluatePipeline replay a recorded
+// trace through the same timing model, but add no samples, so the
+// track shows launches only.
+TEST_F(StaticCostTest, AnalysisReplaysAddNoStallSamples)
+{
+    obs::Profiler &prof = obs::Profiler::instance();
+    struct Guard
+    {
+        ~Guard()
+        {
+            obs::Profiler::instance().setEnabled(false);
+            obs::Profiler::instance().clear();
+        }
+    } guard;
+    prof.clear();
+    prof.setEnabled(true);
+    const auto stallSamples = [&prof] {
+        std::size_t n = 0;
+        for (const obs::TrackSample &s : prof.samples())
+            n += s.track == "tpc.stall_cycles" ? 1 : 0;
+        return n;
+    };
+
+    const auto traced = KernelRegistry::instance().traceAll("softmax");
+    ASSERT_FALSE(traced.empty());
+    const std::size_t launched = stallSamples();
+    EXPECT_GT(launched, 0u);
+    for (const TracedKernel &t : traced) {
+        analyzeProgramStatic(t.program);
+        analyzeProgram(t.program);
+        tpc::evaluatePipeline(t.program, tpc::TpcParams::forGaudi2());
+    }
+    EXPECT_EQ(stallSamples(), launched);
+}
 
 // The static schedule is tpc::evaluatePipeline's, so the predicted
 // cycles equal the simulator's exactly (the name predates that).

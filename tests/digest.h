@@ -15,6 +15,7 @@
 
 #include "common/logging.h"
 #include "obs/counters.h"
+#include "obs/export.h"
 
 namespace vespera::test {
 
@@ -69,6 +70,33 @@ counterDigest(std::initializer_list<std::string_view> prefixes)
                   h);
     }
     return hex16(h);
+}
+
+/**
+ * (name, value, peak, updates), bit for bit, of every updated counter a
+ * metrics document carries: all but the obs::isHostTelemetry ones
+ * (`runtime.*`, `replay.*`). Counters that other tests in this process
+ * registered but the run never updated are left out.
+ */
+inline std::string
+deviceCounterDoc()
+{
+    std::string doc;
+    for (const obs::CounterSnapshot &c :
+         obs::CounterRegistry::instance().snapshot()) {
+        if (c.updates == 0 || obs::isHostTelemetry(c.name))
+            continue;
+        doc += strfmt("%s=%a/%a/%llu;", c.name.c_str(), c.value, c.peak,
+                      static_cast<unsigned long long>(c.updates));
+    }
+    return doc;
+}
+
+/** deviceCounterDoc() as an FNV-1a 64 digest (16 hex digits). */
+inline std::string
+deviceCounterDigest()
+{
+    return hexDigest(deviceCounterDoc());
 }
 
 } // namespace vespera::test

@@ -386,28 +386,6 @@ runFixedScenario()
     }
 }
 
-/**
- * FNV-1a 64 over (name, value, peak, updates) of every updated counter
- * a metrics document carries (obs::isHostTelemetry ones excluded), as
- * 16 hex digits. Counters that other tests in this process registered
- * but this run never updated are left out.
- */
-std::string
-counterDigest()
-{
-    std::uint64_t h = test::kFnv1aBasis;
-    for (const CounterSnapshot &c :
-         CounterRegistry::instance().snapshot()) {
-        if (c.updates == 0 || isHostTelemetry(c.name))
-            continue;
-        h = test::fnv1a(strfmt("%s=%a/%a/%llu;", c.name.c_str(), c.value,
-                               c.peak,
-                               static_cast<unsigned long long>(c.updates)),
-                        h);
-    }
-    return test::hex16(h);
-}
-
 struct ScenarioCounts
 {
     SelfSnapshot snap;
@@ -421,7 +399,7 @@ runScenarioAt(int threads)
     CounterRegistry::instance().reset();
     SelfProf::instance().reset();
     runFixedScenario();
-    return {SelfProf::instance().snapshot(), counterDigest()};
+    return {SelfProf::instance().snapshot(), test::deviceCounterDigest()};
 }
 
 TEST_F(SelfProfTest, FixedScenarioCountsArePinned)

@@ -9,6 +9,7 @@
 #include "digest.h"
 #include "obs/capture.h"
 #include "obs/counters.h"
+#include "obs/profiler.h"
 #include "obs/timeline.h"
 #include "runtime/pool.h"
 #include "runtime/sweep.h"
@@ -485,6 +486,83 @@ TEST_F(EngineGolden, LiveMatchesReference)
     }
 }
 
+// Chunked prefill at chunk sizes off the 64-token bucket grid: a run
+// revisits each (chunk bucket, context bucket) pair many times, so the
+// engine's chunk memo serves most chunks from a hit. Each expected
+// string adds a digest of every device counter (all but runtime.* and
+// replay.*), which the per-chunk folds feed: a hit must charge the
+// graph, GEMM and attribution counters exactly as a miss. Printed by
+// the engine that evaluated every chunk through
+// LlamaModel::stepReport. Both paged runs preempt; SPF on a paged pool
+// stays at 512 MiB, clear of the preemption livelock a 384 MiB pool
+// runs into.
+const GoldenScenario kChunkGolden[] = {
+    {"fcfs_paged_chunk96", SchedPolicy::Fcfs, KvPolicy::Paged, 96,
+     "makespan=0x1.c9a828ef50d35p+2 thr=0x1.9082792f6f4b1p+8"
+     " ttft=0x1.31e5f79b4c245p+1 p99=0x1.485a637f271c3p+2"
+     " tpot=0x1.35d6751b22936p-7 done=48 preempt=3"
+     " batch=0x1.e7d20207709cfp+1 events=1ee0ee88c5ef2950"
+     " engine.steps=769/769/769"
+     " engine.prefill_tokens=36400/36400/769"
+     " engine.decode_tokens=2834/2834/769 engine.preemptions=3/3/3"
+     " engine.recomputed_tokens=72/72/72 kv.blocks_in_use=4/32/769"
+     " kv.blocks_allocated=328/328/66"
+     " kv.blocks_high_water=28/32/66 kv.grow_failures=3/3/3"
+     " counters=cc6486267b28c2f0"},
+    {"fcfs_contig_chunk160", SchedPolicy::Fcfs, KvPolicy::Contiguous,
+     160,
+     "makespan=0x1.27b1695a6da24p+3 thr=0x1.35f16cedeed1dp+8"
+     " ttft=0x1.c95fa8eaf11a5p+1 p99=0x1.ddc166cba8458p+2"
+     " tpot=0x1.1c6f321f6ea83p-7 done=48 preempt=0"
+     " batch=0x1.626c3d6b7c193p+1 events=67edef0cf0bbedbd"
+     " engine.steps=1024/1024/1024"
+     " engine.prefill_tokens=33400/33400/1024"
+     " engine.decode_tokens=2768/2768/1024"
+     " engine.preemptions=0/0/0 engine.recomputed_tokens=0/0/0"
+     " kv.blocks_in_use=1/3/1024 kv.blocks_allocated=48/48/48"
+     " kv.blocks_high_water=3/3/48 kv.grow_failures=0/0/0"
+     " counters=5c16d5f8e1397529"},
+    {"spf_paged_chunk128", SchedPolicy::ShortestPromptFirst,
+     KvPolicy::Paged, 128,
+     "makespan=0x1.d4230d38f19c8p+2 thr=0x1.878b273fb6543p+8"
+     " ttft=0x1.ed3425969f41dp+0 p99=0x1.6fcbe3095c78fp+2"
+     " tpot=0x1.7219117dfa4b4p-7 done=48 preempt=8"
+     " batch=0x1.01f1bde4c79d8p+2 events=60a89cff1f028cff"
+     " engine.steps=799/799/799"
+     " engine.prefill_tokens=38400/38400/799"
+     " engine.decode_tokens=3128/3128/799 engine.preemptions=8/8/8"
+     " engine.recomputed_tokens=376/376/376"
+     " kv.blocks_in_use=12/32/799 kv.blocks_allocated=346/346/71"
+     " kv.blocks_high_water=22/32/71 kv.grow_failures=8/8/8"
+     " counters=ef15bdc59c5791fb"},
+    {"spf_contig_chunk200", SchedPolicy::ShortestPromptFirst,
+     KvPolicy::Contiguous, 200,
+     "makespan=0x1.29370388df1f5p+3 thr=0x1.345b237ac8009p+8"
+     " ttft=0x1.be0bab6fc6425p+1 p99=0x1.ed9281d8826cp+2"
+     " tpot=0x1.1a3651aef7f53p-7 done=48 preempt=0"
+     " batch=0x1.5b965763fb101p+1 events=e4d49ff71e7def2b"
+     " engine.steps=1042/1042/1042"
+     " engine.prefill_tokens=33400/33400/1042"
+     " engine.decode_tokens=2768/2768/1042"
+     " engine.preemptions=0/0/0 engine.recomputed_tokens=0/0/0"
+     " kv.blocks_in_use=1/3/1042 kv.blocks_allocated=48/48/48"
+     " kv.blocks_high_water=3/3/48 kv.grow_failures=0/0/0"
+     " counters=afc157881e312a61"},
+};
+
+TEST_F(EngineGolden, ChunkedPrefillMatchesReference)
+{
+    for (const GoldenScenario &s : kChunkGolden) {
+        SCOPED_TRACE(s.name);
+        obs::CounterRegistry::instance().reset();
+        Engine engine(model_, goldenConfig(s));
+        const ServingMetrics m = engine.run(goldenTrace());
+        EXPECT_EQ(goldenDoc(m, eventDigest(engine.events())) +
+                      " counters=" + test::deviceCounterDigest(),
+                  s.expected);
+    }
+}
+
 std::uint64_t
 ttftPublished()
 {
@@ -580,6 +658,58 @@ TEST_F(EngineGolden, ParallelSweepMatchesSerial)
                                  std::size(kGolden) - 1)),
               std::string::npos);
     EXPECT_EQ(sweep(4), serial);
+}
+
+// The chunk memo folds a chunk's per-node costs on every call, so a
+// run whose chunks all hit charges what a run that missed charges.
+// The trace only prefills (one output token each): the decode memo
+// charges a step once, at its miss, so decode steps would make the
+// second run's counters differ by design.
+TEST_F(EngineTest, ChunkMemoHitsFoldLikeMisses)
+{
+    EngineConfig cfg = baseConfig();
+    cfg.chunkedPrefillTokens = 160;
+    Engine engine(model_, cfg);
+    std::vector<std::string> docs;
+    for (int pass = 0; pass < 2; pass++) {
+        obs::CounterRegistry::instance().reset();
+        engine.run(makeFixedTrace(8, 1000, 1));
+        docs.push_back(test::deviceCounterDoc());
+    }
+    EXPECT_NE(docs[0].find("graph.ops="), std::string::npos);
+    EXPECT_EQ(docs[1], docs[0]);
+}
+
+// While the Profiler traces, the chunk memo steps aside like the
+// replay caches: a second traced run on the same engine evaluates
+// every chunk again and samples as many MME utilization points.
+TEST_F(EngineTest, TracedChunksBypassTheChunkMemo)
+{
+    obs::Profiler &prof = obs::Profiler::instance();
+    struct Guard
+    {
+        ~Guard()
+        {
+            obs::Profiler::instance().setEnabled(false);
+            obs::Profiler::instance().clear();
+        }
+    } guard;
+    EngineConfig cfg = baseConfig();
+    cfg.chunkedPrefillTokens = 160;
+    Engine engine(model_, cfg);
+    std::vector<std::size_t> mme_samples;
+    for (int pass = 0; pass < 2; pass++) {
+        prof.clear();
+        prof.setEnabled(true);
+        engine.run(makeFixedTrace(8, 1000, 1));
+        prof.setEnabled(false);
+        std::size_t n = 0;
+        for (const obs::TrackSample &s : prof.samples())
+            n += s.track == "mme.utilization" ? 1 : 0;
+        mme_samples.push_back(n);
+    }
+    EXPECT_GT(mme_samples[0], 0u);
+    EXPECT_EQ(mme_samples[1], mme_samples[0]);
 }
 
 TEST_F(EngineTest, EventsOffByDefault)

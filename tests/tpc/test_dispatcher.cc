@@ -14,7 +14,6 @@
 #include "kern/softmax.h"
 #include "kern/stream.h"
 #include "obs/counters.h"
-#include "obs/export.h"
 #include "runtime/pool.h"
 #include "tpc/dispatcher.h"
 
@@ -183,19 +182,6 @@ resultDoc(const LaunchResult &r)
                   static_cast<unsigned long long>(r.localMemHighWater));
 }
 
-/** Every device counter (attribution included), bit for bit. */
-std::string
-counterDoc()
-{
-    std::string doc;
-    for (const auto &c : obs::CounterRegistry::instance().snapshot())
-        if (!obs::isHostTelemetry(c.name))
-            doc += strfmt("%s|%a|%a|%llu\n", c.name.c_str(), c.value,
-                          c.peak,
-                          static_cast<unsigned long long>(c.updates));
-    return doc;
-}
-
 /** Restores the serial pool however a test exits. */
 struct PoolGuard
 {
@@ -255,7 +241,7 @@ TEST(DispatcherUniform, MatchesFullSimulation)
                 calls = 0;
                 const LaunchResult r = dispatcher.launch(counted, space,
                                                          params);
-                const std::string counters = counterDoc();
+                const std::string counters = test::deviceCounterDoc();
                 EXPECT_NE(counters.find("attrib.tpc.compute"),
                           std::string::npos);
                 if (want_result.empty()) {
