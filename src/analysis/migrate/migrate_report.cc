@@ -170,16 +170,51 @@ migrateBaselineJson(const std::vector<MigrateEntry> &entries)
     return json::Value::makeObject(std::move(root));
 }
 
+namespace {
+
+/** Why `doc` is not a migrate baseline ("" when it is one). */
+std::string
+migrateBaselineError(const json::Value &doc)
+{
+    if (!doc.isObject())
+        return "document: expected an object";
+    const json::Value *schema = doc.find("schema");
+    if (schema == nullptr || !schema->isString() ||
+        schema->str() != "vespera-lint-migrate-baseline/v1")
+        return "schema: expected \"vespera-lint-migrate-baseline/v1\"";
+    const json::Value *kernels = doc.find("kernels");
+    if (kernels == nullptr || !kernels->isObject())
+        return "kernels: expected an object";
+    for (const auto &[kernel, base] : kernels->object()) {
+        const std::string field = "kernels." + kernel;
+        if (!base.isObject())
+            return field + ": expected an object";
+        const json::Value *parity = base.find("parity");
+        if (parity == nullptr || !parity->isBool())
+            return field + ".parity: expected true or false";
+        const json::Value *frac = base.find("achieved_fraction");
+        if (frac == nullptr || !frac->isNumber())
+            return field + ".achieved_fraction: expected a number";
+    }
+    return {};
+}
+
+} // namespace
+
 BaselineCheck
 checkMigrateBaseline(const std::vector<MigrateEntry> &entries,
                      const json::Value &baseline,
                      double fractionSlack)
 {
     BaselineCheck out;
-    const json::Value *kernels = baseline.find("kernels");
+    out.malformed = migrateBaselineError(baseline);
+    if (!out.malformed.empty()) {
+        out.ok = false;
+        return out;
+    }
+    const json::Value &kernels = *baseline.find("kernels");
     for (const MigrateEntry &e : entries) {
-        const json::Value *base =
-            kernels != nullptr ? kernels->find(e.kernel) : nullptr;
+        const json::Value *base = kernels.find(e.kernel);
         if (base == nullptr) {
             // New corpus entries must land functionally correct.
             if (!e.parity) {
@@ -190,23 +225,20 @@ checkMigrateBaseline(const std::vector<MigrateEntry> &entries,
             }
             continue;
         }
-        const json::Value *parity = base->find("parity");
-        if (parity != nullptr && parity->isBool() &&
-            parity->boolean() && !e.parity) {
+        if (base->find("parity")->boolean() && !e.parity) {
             out.ok = false;
             out.failures.push_back(
                 strfmt("%s: parity regressed (max rel error %.3e)",
                        e.kernel.c_str(), e.maxRelError));
         }
-        const json::Value *frac = base->find("achieved_fraction");
-        if (frac != nullptr && frac->isNumber() &&
-            e.achievedFraction < frac->number() - fractionSlack) {
+        const double frac = base->find("achieved_fraction")->number();
+        if (e.achievedFraction < frac - fractionSlack) {
             out.ok = false;
             out.failures.push_back(strfmt(
                 "%s: achieved fraction regressed %.3f -> %.3f "
                 "(baseline allows -%.2f)",
-                e.kernel.c_str(), frac->number(),
-                e.achievedFraction, fractionSlack));
+                e.kernel.c_str(), frac, e.achievedFraction,
+                fractionSlack));
         }
     }
     return out;

@@ -34,7 +34,9 @@ std::string migrateReportText(const std::vector<MigrateEntry> &entries,
  * fraction drops more than `fractionSlack` below its baselined value,
  * or when a kernel absent from the baseline fails parity (new corpus
  * entries must land correct). Improvements pass — regenerate with
- * --update-baseline to ratchet them in.
+ * --update-baseline to ratchet them in. A document that is not a
+ * migrate baseline (wrong schema, a kernel without a boolean `parity`
+ * and a numeric `achieved_fraction`) fails with `malformed` set.
  */
 json::Value migrateBaselineJson(const std::vector<MigrateEntry> &entries);
 

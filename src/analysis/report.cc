@@ -1,7 +1,9 @@
 #include "analysis/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -221,12 +223,48 @@ baselineJson(const std::vector<LintEntry> &entries)
     return json::Value::makeObject(std::move(root));
 }
 
+namespace {
+
+/** Why `doc` is not a warnings baseline ("" when it is one). */
+std::string
+warningsBaselineError(const json::Value &doc)
+{
+    if (!doc.isObject())
+        return "document: expected an object";
+    const json::Value *schema = doc.find("schema");
+    if (schema == nullptr || !schema->isString() ||
+        schema->str() != "vespera-lint-baseline/v1")
+        return "schema: expected \"vespera-lint-baseline/v1\"";
+    const json::Value *warnings = doc.find("warnings");
+    if (warnings == nullptr || !warnings->isObject())
+        return "warnings: expected an object";
+    for (const auto &[kernel, rules] : warnings->object()) {
+        if (!rules.isObject())
+            return "warnings." + kernel + ": expected an object";
+        for (const auto &[rule, n] : rules.object()) {
+            if (!n.isNumber() || !(n.number() >= 0) ||
+                n.number() > std::numeric_limits<int>::max() ||
+                n.number() != std::floor(n.number()))
+                return "warnings." + kernel + "." + rule +
+                       ": expected a non-negative integer count";
+        }
+    }
+    return {};
+}
+
+} // namespace
+
 BaselineCheck
 checkAgainstBaseline(const std::vector<LintEntry> &entries,
                      const json::Value &baseline)
 {
     BaselineCheck check;
-    const json::Value *allowed = baseline.find("warnings");
+    check.malformed = warningsBaselineError(baseline);
+    if (!check.malformed.empty()) {
+        check.ok = false;
+        return check;
+    }
+    const json::Value &allowed = *baseline.find("warnings");
 
     // Errors are never baselined.
     for (const LintEntry &e : entries) {
@@ -249,13 +287,11 @@ checkAgainstBaseline(const std::vector<LintEntry> &entries,
         }
     }
     for (const auto &[kernel, rules] : counts) {
-        const json::Value *base =
-            allowed != nullptr ? allowed->find(kernel) : nullptr;
+        const json::Value *base = allowed.find(kernel);
         for (const auto &[rule, count] : rules) {
             int budget = 0;
             if (base != nullptr) {
-                const json::Value *v = base->find(rule);
-                if (v != nullptr && v->isNumber())
+                if (const json::Value *v = base->find(rule))
                     budget = static_cast<int>(v->number());
             }
             if (count > budget) {

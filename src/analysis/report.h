@@ -48,6 +48,9 @@ struct BaselineCheck
     bool ok = true;
     /// One line per violation (new error, warning count regression).
     std::vector<std::string> failures;
+    /// Set, as "<field>: <problem>", when the baseline document does
+    /// not follow its schema; nothing was compared then.
+    std::string malformed;
 };
 
 /**
@@ -55,7 +58,9 @@ struct BaselineCheck
  * Fails on any Error-severity finding, and on any (kernel, rule) whose
  * Warning count exceeds the baselined count (absent kernels or rules
  * baseline at zero). Improvements (fewer warnings) pass, so the
- * baseline can be ratcheted down by regenerating it.
+ * baseline can be ratcheted down by regenerating it. A document that
+ * is not a warnings baseline (wrong schema, a count that is not a
+ * non-negative integer) fails with `malformed` set.
  */
 BaselineCheck checkAgainstBaseline(const std::vector<LintEntry> &entries,
                                    const json::Value &baseline);

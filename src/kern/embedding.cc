@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "cuda/simt.h"
+#include "obs/selfprof.h"
 
 namespace vespera::kern {
 
@@ -113,6 +114,28 @@ makeGatherKernel(const tpc::Tensor &indices, tpc::Tensor &out,
     };
 }
 
+/**
+ * Call f(m) for every pooled output m of the slices `plan` simulates.
+ * A batched slice is a range of members; a per-table slice is a range
+ * of samples s, whose pooled outputs are members s*T + table.
+ */
+template <typename F>
+void
+forEachSimulatedMember(const tpc::SlicePlan &plan, bool per_table,
+                       std::int64_t T, F &&f)
+{
+    for (const tpc::MemberRange &slice : plan.simulatedSlices()) {
+        for (std::int64_t i = slice.start[1]; i < slice.end[1]; i++) {
+            if (!per_table) {
+                f(i);
+                continue;
+            }
+            for (std::int64_t table = 0; table < T; table++)
+                f(i * T + table);
+        }
+    }
+}
+
 } // namespace
 
 const char *
@@ -150,7 +173,35 @@ EmbeddingLayerGaudi::EmbeddingLayerGaudi(const EmbeddingConfig &config)
         config.rowsPerTable * config.numTables;
     tables_ = std::make_unique<tpc::Tensor>(
         std::vector<std::int64_t>{lanes_, total_rows}, config.dt);
-    tables_->fillRows(rowValue);
+    filled_.assign(static_cast<std::size_t>(total_rows), false);
+}
+
+std::int64_t
+EmbeddingLayerGaudi::rowOf(const std::vector<std::int64_t> &idx,
+                           std::int64_t m, std::int64_t p) const
+{
+    return (m % config_.numTables) * config_.rowsPerTable +
+           idx[static_cast<std::size_t>(m * config_.pooling + p)];
+}
+
+void
+EmbeddingLayerGaudi::fillReadRows(const std::vector<std::int64_t> &idx,
+                                  const tpc::SlicePlan &plan,
+                                  bool per_table) const
+{
+    obs::SelfTimer self(obs::SelfCat::HostData);
+    std::lock_guard<std::mutex> lock(fillMu_);
+    forEachSimulatedMember(plan, per_table, config_.numTables,
+                           [&](std::int64_t m) {
+        for (std::int64_t p = 0; p < config_.pooling; p++) {
+            const std::int64_t row = rowOf(idx, m, p);
+            if (filled_[static_cast<std::size_t>(row)])
+                continue;
+            filled_[static_cast<std::size_t>(row)] = true;
+            float *v = tables_->range(row * lanes_, lanes_);
+            std::fill(v, v + lanes_, rowValue(row));
+        }
+    });
 }
 
 EmbeddingResult
@@ -167,9 +218,12 @@ EmbeddingLayerGaudi::run(EmbeddingVariant variant, Rng &rng, int unroll,
     const std::size_t count = static_cast<std::size_t>(config_.batch) *
                               config_.numTables * config_.pooling;
     std::vector<std::int64_t> idx(count);
-    for (auto &v : idx)
-        v = static_cast<std::int64_t>(rng.below(
-            static_cast<std::uint64_t>(config_.rowsPerTable)));
+    {
+        obs::SelfTimer self(obs::SelfCat::HostData);
+        for (auto &v : idx)
+            v = static_cast<std::int64_t>(rng.below(
+                static_cast<std::uint64_t>(config_.rowsPerTable)));
+    }
 
     const bool sdk = variant == EmbeddingVariant::SdkSingleTable;
     const int u = unroll > 0 ? unroll
@@ -194,25 +248,7 @@ EmbeddingLayerGaudi::runBatched(const std::vector<std::int64_t> &idx,
     const std::int64_t T = config_.numTables;
     const std::int64_t B = config_.batch;
     const std::int64_t P = config_.pooling;
-    const std::int64_t rows = config_.rowsPerTable;
     const std::int64_t members = B * T;
-
-    // Lookup indices handed to the kernel in one call (Figure 14(b):
-    // "indices and offsets for all tables passed in a single call").
-    tpc::Tensor indices({P, members}, DataType::FP32);
-    indices.fill([&idx](std::int64_t flat) {
-        return static_cast<float>(idx[static_cast<std::size_t>(flat)]);
-    });
-    tpc::Tensor out({lanes_, members}, config_.dt);
-
-    tpc::Kernel kernel = makeGatherKernel(
-        indices, out, *tables_,
-        [&idx, P, rows, T](std::int64_t m, std::int64_t p) {
-            return (m % T) * rows +
-                   idx[static_cast<std::size_t>(m * P + p)];
-        },
-        lanes_, config_.vectorBytes, P, unroll, interleave,
-        [](std::int64_t m) { return m; });
 
     // A slice's trace depends only on its member count, P, unroll and
     // interleave, never on the rows it gathers: the launch simulates
@@ -223,9 +259,35 @@ EmbeddingLayerGaudi::runBatched(const std::vector<std::int64_t> &idx,
     params.vectorBytes = std::min<Bytes>(config_.vectorBytes, 256);
     params.kernelName = "embedding_batched";
     params.uniformSlices = true;
+    const tpc::SlicePlan plan = dispatcher().planSlices(space, params);
+
+    // Lookup indices handed to the kernel in one call (Figure 14(b):
+    // "indices and offsets for all tables passed in a single call"),
+    // written for the simulated members only.
+    tpc::Tensor indices({P, members}, DataType::FP32);
+    tpc::Tensor out({lanes_, members}, config_.dt);
+    fillReadRows(idx, plan, false);
+    {
+        obs::SelfTimer self(obs::SelfCat::HostData);
+        forEachSimulatedMember(plan, false, T, [&](std::int64_t m) {
+            float *v = indices.range(m * P, P);
+            for (std::int64_t p = 0; p < P; p++)
+                v[p] = static_cast<float>(
+                    idx[static_cast<std::size_t>(m * P + p)]);
+        });
+    }
+
+    tpc::Kernel kernel = makeGatherKernel(
+        indices, out, *tables_,
+        [this, &idx](std::int64_t m, std::int64_t p) {
+            return rowOf(idx, m, p);
+        },
+        lanes_, config_.vectorBytes, P, unroll, interleave,
+        [](std::int64_t m) { return m; });
+
     auto launch = dispatcher().launch(kernel, space, params);
 
-    verify(idx, out, dispatcher().planSlices(space, params), false);
+    verify(idx, out, plan, false);
 
     EmbeddingResult r;
     r.time = launch.time;
@@ -244,9 +306,6 @@ EmbeddingLayerGaudi::runPerTable(const std::vector<std::int64_t> &idx,
     const std::int64_t T = config_.numTables;
     const std::int64_t B = config_.batch;
     const std::int64_t P = config_.pooling;
-    const std::int64_t rows = config_.rowsPerTable;
-
-    tpc::Tensor out({lanes_, B * T}, config_.dt);
 
     // Every table's launch splits the samples the same way and, like
     // the batched launch, simulates one slice per distinct length.
@@ -257,26 +316,35 @@ EmbeddingLayerGaudi::runPerTable(const std::vector<std::int64_t> &idx,
     params.kernelName = unroll == sdkUnroll ? "embedding_sdk_single_table"
                                             : "embedding_single_table";
     params.uniformSlices = true;
+    const tpc::SlicePlan plan = dispatcher().planSlices(space, params);
+    const std::vector<tpc::MemberRange> ran = plan.simulatedSlices();
+
+    tpc::Tensor out({lanes_, B * T}, config_.dt);
+    // Index staging tensor, rewritten for each table's launch over the
+    // simulated samples only.
+    tpc::Tensor indices({P, B}, DataType::FP32);
+    fillReadRows(idx, plan, true);
 
     EmbeddingResult r;
     for (std::int64_t table = 0; table < T; table++) {
-        // Per-table index staging tensor (separate kernel launch).
-        tpc::Tensor indices({P, B}, DataType::FP32);
-        indices.fill([&idx, table, T, P](std::int64_t flat) {
-            const std::int64_t s = flat / P;
-            const std::int64_t p = flat % P;
-            return static_cast<float>(
-                idx[static_cast<std::size_t>(((s * T) + table) * P + p)]);
-        });
+        {
+            obs::SelfTimer self(obs::SelfCat::HostData);
+            for (const tpc::MemberRange &slice : ran) {
+                for (std::int64_t s = slice.start[1]; s < slice.end[1];
+                     s++) {
+                    float *v = indices.range(s * P, P);
+                    for (std::int64_t p = 0; p < P; p++)
+                        v[p] = static_cast<float>(
+                            idx[static_cast<std::size_t>(
+                                ((s * T) + table) * P + p)]);
+                }
+            }
+        }
 
-        const std::int64_t table_offset = table * rows;
         tpc::Kernel kernel = makeGatherKernel(
             indices, out, *tables_,
-            [&idx, P, T, table, table_offset](std::int64_t s,
-                                              std::int64_t p) {
-                return table_offset +
-                       idx[static_cast<std::size_t>(
-                           ((s * T) + table) * P + p)];
+            [this, &idx, T, table](std::int64_t s, std::int64_t p) {
+                return rowOf(idx, s * T + table, p);
             },
             lanes_, config_.vectorBytes, P, unroll, interleave,
             [T, table](std::int64_t s) { return s * T + table; });
@@ -286,7 +354,7 @@ EmbeddingLayerGaudi::runPerTable(const std::vector<std::int64_t> &idx,
         r.kernelLaunches++;
     }
 
-    verify(idx, out, dispatcher().planSlices(space, params), true);
+    verify(idx, out, plan, true);
 
     r.gatheredBytes =
         static_cast<Bytes>(B) * T * P * config_.vectorBytes;
@@ -301,34 +369,19 @@ EmbeddingLayerGaudi::verify(const std::vector<std::int64_t> &idx,
                             const tpc::SlicePlan &plan,
                             bool per_table) const
 {
-    const std::int64_t T = config_.numTables;
-    const std::int64_t P = config_.pooling;
-    auto check = [&](std::int64_t m) {
-        const std::int64_t table = m % T;
+    obs::SelfTimer self(obs::SelfCat::HostData);
+    // Only simulated slices produce output.
+    forEachSimulatedMember(plan, per_table, config_.numTables,
+                           [&](std::int64_t m) {
         float want = 0;
-        for (std::int64_t p = 0; p < P; p++) {
-            const std::int64_t row = table * config_.rowsPerTable +
-                idx[static_cast<std::size_t>(m * P + p)];
-            want += rowValue(row);
-        }
+        for (std::int64_t p = 0; p < config_.pooling; p++)
+            want += rowValue(rowOf(idx, m, p));
         const float got = out.at(tpc::Int5{0, m, 0, 0, 0});
         vassert(got == want,
                 "embedding verification failed at member %lld: %f != %f",
                 static_cast<long long>(m), static_cast<double>(got),
                 static_cast<double>(want));
-    };
-    // Only simulated slices produce output. A per-table slice is a
-    // range of samples s, whose pooled outputs are members s*T + table.
-    for (const tpc::MemberRange &slice : plan.simulatedSlices()) {
-        for (std::int64_t i = slice.start[1]; i < slice.end[1]; i++) {
-            if (!per_table) {
-                check(i);
-                continue;
-            }
-            for (std::int64_t table = 0; table < T; table++)
-                check(i * T + table);
-        }
-    }
+    });
 }
 
 EmbeddingResult

@@ -22,6 +22,7 @@
 #define VESPERA_KERN_EMBEDDING_H
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
@@ -68,12 +69,16 @@ struct EmbeddingResult
 
 /**
  * Functional + timed embedding layer on the simulated Gaudi-2.
- * Construction materializes the (concatenated) embedding tables;
- * run() draws indices, executes the TPC kernels, and verifies the
- * pooled output against a reference. The launches declare
- * LaunchParams::uniformSlices, so only one slice per distinct slice
- * length is simulated and produces output; verification covers every
- * pooled output of those simulated slices, and only those.
+ * Construction allocates the (concatenated) embedding tables as zeroed
+ * storage; row r always reads rowValue(r), but it is written only
+ * when a run first needs it. run() draws indices, fills the rows its
+ * simulated members read that no earlier run filled, executes the TPC
+ * kernels, and verifies the pooled output against a reference. The
+ * launches declare LaunchParams::uniformSlices, so only one slice per
+ * distinct slice length is simulated and produces output; the row
+ * fill and verification cover the pooled outputs of those simulated
+ * slices, and only those. run() may be called concurrently on one
+ * layer: the row fill is locked.
  */
 class EmbeddingLayerGaudi
 {
@@ -98,9 +103,16 @@ class EmbeddingLayerGaudi
                                int unroll, int interleave) const;
     EmbeddingResult runPerTable(const std::vector<std::int64_t> &idx,
                                 int unroll, int interleave) const;
-    /** Check every pooled output of the slices `plan` simulates
-     *  against the reference sum; `per_table` when the plan splits
-     *  samples (one launch per table) rather than members. */
+    /** Global table row that member `m`'s lookup `p` reads. */
+    std::int64_t rowOf(const std::vector<std::int64_t> &idx,
+                       std::int64_t m, std::int64_t p) const;
+    /** Write every row the simulated members of `plan` read that is
+     *  not written yet; `per_table` when the plan splits samples (one
+     *  launch per table) rather than members. */
+    void fillReadRows(const std::vector<std::int64_t> &idx,
+                      const tpc::SlicePlan &plan, bool per_table) const;
+    /** Check every pooled output of the simulated members against the
+     *  reference sum. */
     void verify(const std::vector<std::int64_t> &idx,
                 const tpc::Tensor &out, const tpc::SlicePlan &plan,
                 bool per_table) const;
@@ -110,7 +122,11 @@ class EmbeddingLayerGaudi
 
     EmbeddingConfig config_;
     std::int64_t lanes_;
-    std::unique_ptr<tpc::Tensor> tables_; ///< [lanes, rows x tables].
+    /// [lanes, rows x tables]. A cache of constant content: a row is
+    /// written once, under fillMu_, before any run reads it.
+    std::unique_ptr<tpc::Tensor> tables_;
+    mutable std::mutex fillMu_;
+    mutable std::vector<bool> filled_; ///< Per row, under fillMu_.
 };
 
 /** FBGEMM-style batched embedding on the A100 model. */

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "cuda/simt.h"
+#include "obs/selfprof.h"
 #include "tpc/dispatcher.h"
 
 namespace vespera::kern {
@@ -30,16 +31,6 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
     const auto num_accesses = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(c.accessFraction * num_vectors));
 
-    // Index list, read by the kernel in 256 B chunks.
-    tpc::Tensor indices({num_accesses}, DataType::FP32);
-    std::vector<std::int64_t> idx(static_cast<std::size_t>(num_accesses));
-    for (auto &v : idx)
-        v = static_cast<std::int64_t>(
-            rng.below(static_cast<std::uint64_t>(num_vectors)));
-    indices.fill([&idx](std::int64_t i) {
-        return static_cast<float>(idx[static_cast<std::size_t>(i)]);
-    });
-
     // The index space is the accesses themselves, so the dispatcher's
     // ceil split is the kernel's per-TPC split. A slice's trace depends
     // only on its length (timing never reads which rows it gathers):
@@ -56,16 +47,28 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
     const std::vector<tpc::MemberRange> ran =
         dispatcher.planSlices(space, params).simulatedSlices();
 
-    // Row r holds r % 61 in every lane. Only rows gathered by simulated
-    // slices are ever read (scatter only writes), so only they are
-    // filled; the zeroed storage of every other row is never touched.
+    // The index list, read by the kernel in 256 B chunks, holds the
+    // accesses of simulated slices. Row r of the array holds r % 61 in
+    // every lane; only rows gathered by simulated slices are ever read
+    // (scatter only writes), so only they are filled. Everything else
+    // stays zeroed storage that is never touched.
+    std::vector<std::int64_t> idx(static_cast<std::size_t>(num_accesses));
+    tpc::Tensor indices({num_accesses}, DataType::FP32);
     tpc::Tensor array({lanes, num_vectors}, c.dt);
-    if (!c.scatter) {
+    {
+        obs::SelfTimer self(obs::SelfCat::HostData);
+        for (auto &v : idx)
+            v = static_cast<std::int64_t>(
+                rng.below(static_cast<std::uint64_t>(num_vectors)));
         for (const tpc::MemberRange &s : ran) {
+            float *ip = indices.range(s.start[1], s.end[1] - s.start[1]);
             for (std::int64_t j = s.start[1]; j < s.end[1]; j++) {
                 const std::int64_t row = idx[static_cast<std::size_t>(j)];
-                float *p = array.range(row * lanes, lanes);
-                std::fill(p, p + lanes, static_cast<float>(row % 61));
+                *ip++ = static_cast<float>(row);
+                if (!c.scatter) {
+                    float *p = array.range(row * lanes, lanes);
+                    std::fill(p, p + lanes, static_cast<float>(row % 61));
+                }
             }
         }
     }
@@ -136,6 +139,7 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
         // Verify: each simulated TPC's accumulator equals the reference
         // sum over the rows its slice gathered (lane 0 suffices: rows
         // are constant).
+        obs::SelfTimer self(obs::SelfCat::HostData);
         for (const tpc::MemberRange &s : ran) {
             const std::int64_t t = s.start[1] / per_tpc;
             const double got = out.at(tpc::Int5{0, t, 0, 0, 0});

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "cuda/simt.h"
+#include "obs/selfprof.h"
 #include "tpc/dispatcher.h"
 
 namespace vespera::kern {
@@ -78,8 +79,8 @@ runStreamGaudi(const StreamConfig &config)
             config.numTpcs);
 
     const auto n = static_cast<std::int64_t>(config.numElements);
-    // Storage is lazily backed (tpc/tensor.h): only the elements the
-    // simulated slices touch below ever cost memory.
+    // Large storage is mapped zero pages (tpc/tensor.h): only the pages
+    // the simulated slices touch below ever cost memory.
     tpc::Tensor a({n}, config.dt);
     tpc::Tensor b({n}, config.dt);
     tpc::Tensor c({n}, config.dt);
@@ -168,16 +169,21 @@ runStreamGaudi(const StreamConfig &config)
 
     // Inputs over each simulated slice. The lanes of a slice's last
     // vector that read past its end are never stored, so their data
-    // does not matter.
-    for (const tpc::MemberRange &s : ran) {
-        fillPattern(a, s.start[1], s.end[1], 251);
-        fillPattern(b, s.start[1], s.end[1], 127);
+    // does not matter. SCALE only writes `b`.
+    {
+        obs::SelfTimer self(obs::SelfCat::HostData);
+        for (const tpc::MemberRange &s : ran) {
+            fillPattern(a, s.start[1], s.end[1], 251);
+            if (op != StreamOp::Scale)
+                fillPattern(b, s.start[1], s.end[1], 127);
+        }
     }
 
     auto launch = dispatcher.launch(kernel, space, params);
 
     // Spot-verify functional output at the start, middle and last
     // element of every simulated slice.
+    obs::SelfTimer self(obs::SelfCat::HostData);
     for (const tpc::MemberRange &s : ran) {
         const std::int64_t begin = s.start[1];
         const std::int64_t end = s.end[1];

@@ -36,6 +36,8 @@ selfCatName(SelfCat cat)
         return "alloc";
     case SelfCat::TelemetryExport:
         return "telemetry_export";
+    case SelfCat::HostData:
+        return "host_data";
     case SelfCat::Other:
         return "other";
     }

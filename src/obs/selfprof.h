@@ -9,7 +9,7 @@
  * nanoseconds, so engine and memoization changes can be measured
  * before and after. A fixed taxonomy —
  * kernel_eval, trace_record, graph_build, engine_step, alloc,
- * telemetry_export, other — with three guarantees:
+ * telemetry_export, host_data, other — with three guarantees:
  *
  *  - Bitwise sum-to-total: ledgers accumulate integer nanoseconds, so
  *    totalNs() is an exact fixed-order sum and settle() makes the
@@ -67,10 +67,11 @@ enum class SelfCat : int {
     EngineStep = 3,      ///< Serving-engine scheduling loop.
     Alloc = 4,           ///< Container growth outside any timer.
     TelemetryExport = 5, ///< Metrics/trace serialization + write.
-    Other = 6,           ///< Uninstrumented remainder (settle()).
+    HostData = 6,        ///< Kernel data set-up and functional checks.
+    Other = 7,           ///< Uninstrumented remainder (settle()).
 };
 
-inline constexpr int kSelfCats = 7;
+inline constexpr int kSelfCats = 8;
 
 /** Stable dotted-name component for each category. */
 const char *selfCatName(SelfCat cat);

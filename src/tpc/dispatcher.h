@@ -87,9 +87,11 @@ struct LaunchParams
     /// `partitionDim`, so which data a slice touches never changes its
     /// timing. The launch then simulates only the first TPC of each
     /// distinct slice length (planSlices), so the kernel's functional
-    /// effects land in those slices alone: the kernel fills and
-    /// verifies just SlicePlan::simulatedSlices. Declared by STREAM,
-    /// gather/scatter and both embedding launches.
+    /// effects land in those slices alone: the kernel writes only the
+    /// data SlicePlan::simulatedSlices read (inputs, index lists,
+    /// table rows) and verifies only their output. Large tensors are
+    /// mapped zero pages (tpc/tensor.h), so the rest costs nothing.
+    /// Declared by STREAM, gather/scatter and both embedding launches.
     bool uniformSlices = false;
 };
 

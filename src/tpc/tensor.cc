@@ -1,8 +1,37 @@
 #include "tpc/tensor.h"
 
+#include <sys/mman.h>
+
+#include <cstdlib>
+#include <new>
+
 #include "common/logging.h"
 
 namespace vespera::tpc {
+
+void *
+allocateZeroed(std::size_t bytes)
+{
+    if (bytes >= kMappedTensorBytes) {
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return p;
+    }
+    if (void *p = std::calloc(bytes, 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+freeZeroed(void *p, std::size_t bytes) noexcept
+{
+    if (bytes >= kMappedTensorBytes)
+        ::munmap(p, bytes);
+    else
+        std::free(p);
+}
 
 Tensor::Tensor(std::vector<std::int64_t> shape, DataType dt)
     : shape_(std::move(shape)), dtype_(dt)

@@ -12,24 +12,25 @@
  * the TPC-C convention where the "depth" dimension determines memory
  * access granularity (Figure 3 of the paper).
  *
- * Storage comes zeroed from calloc, whose cost depends on glibc's
- * dynamic mmap threshold (raised, up to 32 MiB, to the size of each
- * mmap'd chunk freed):
- *  - At or above the threshold a tensor gets fresh anonymous pages, so
- *    untouched elements cost nothing, but free() unmaps them and every
- *    launch faults its touched pages in again.
- *  - Below it calloc recycles a heap chunk and zeroes all of it: a
- *    20 MiB chunk takes about 1.4-2.3 ms on a 4-vCPU x86 host, so a
- *    STREAM job's three tensors pay several ms whatever they touch.
+ * Storage comes zeroed, and its cost follows what is touched:
+ *  - A tensor of at least kMappedTensorBytes (4 MiB) gets a private
+ *    anonymous mapping of its own, unmapped at free. Its pages are
+ *    zero until first touched, so a launch that simulates a few slices
+ *    of a large tensor faults in those slices' pages and nothing else.
+ *  - A smaller tensor comes from calloc, which may recycle a heap
+ *    chunk and zero all of it. Small tensors are mostly touched in
+ *    full, where fresh pages cost more: with a 1 MiB cutoff, perfbench
+ *    `lint` ran 3% slower in 6 of 6 run pairs on a 4-vCPU x86 host.
+ * ASan does not track the mapped storage (it is not heap memory), but
+ * at() and range() still bound every element access to the tensor.
  */
 
 #ifndef VESPERA_TPC_TENSOR_H
 #define VESPERA_TPC_TENSOR_H
 
-#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <utility>
 #include <vector>
@@ -42,8 +43,18 @@ namespace vespera::tpc {
 /** Up-to-5-dimensional coordinate, matching TPC-C's int5. */
 using Int5 = std::array<std::int64_t, 5>;
 
+/** Storage at or above this size is mapped, not taken from the heap. */
+inline constexpr std::size_t kMappedTensorBytes = std::size_t{4} << 20;
+
+/** Zeroed storage of `bytes`: mapped at or above kMappedTensorBytes,
+ *  calloc'd below. Throws std::bad_alloc when none is left. */
+void *allocateZeroed(std::size_t bytes);
+
+/** Release storage from allocateZeroed(`bytes`). */
+void freeZeroed(void *p, std::size_t bytes) noexcept;
+
 /**
- * Allocator handing out calloc-zeroed storage. Value-initialisation
+ * Allocator handing out allocateZeroed storage. Value-initialisation
  * (the element constructor called without arguments) is a no-op, since
  * the memory is already zero; copies construct normally. That holds
  * only for storage fresh from allocate(), so a vector using it must
@@ -63,12 +74,14 @@ struct ZeroedAllocator
     T *
     allocate(std::size_t n)
     {
-        if (void *p = std::calloc(n, sizeof(T)))
-            return static_cast<T *>(p);
-        throw std::bad_alloc();
+        return static_cast<T *>(allocateZeroed(n * sizeof(T)));
     }
 
-    void deallocate(T *p, std::size_t) noexcept { std::free(p); }
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        freeZeroed(p, n * sizeof(T));
+    }
 
     template <typename U>
     void
@@ -154,23 +167,6 @@ class Tensor
     {
         for (std::int64_t i = 0; i < numElements_; i++)
             data_[static_cast<std::size_t>(i)] = f(i);
-    }
-
-    /**
-     * Fill each dim-0 row (dim(0) contiguous elements) with one value
-     * from a callable f(row) -> float, where row = flat / dim(0).
-     */
-    template <typename F>
-    void
-    fillRows(F &&f)
-    {
-        const auto row_len = static_cast<std::size_t>(shape_[0]);
-        float *p = data_.data();
-        for (std::int64_t r = 0; r < numElements_ / shape_[0]; r++) {
-            const float v = f(r);
-            std::fill(p, p + row_len, v);
-            p += row_len;
-        }
     }
 
   private:

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report.h"
+#include "common/json.h"
 
 namespace vespera::analysis {
 namespace {
@@ -155,6 +156,44 @@ TEST(Report, FewerWarningsThanBaselinePasses)
     improved.push_back(makeEntry(
         "k", {makeDiag(rules::narrowAccess, Severity::Warning, "k")}));
     EXPECT_TRUE(checkAgainstBaseline(improved, baseline).ok);
+}
+
+// A document that is not a warnings baseline is an error naming the
+// offending field, never a comparison against zero budgets.
+TEST(Report, MalformedBaselineNamesTheField)
+{
+    struct Case
+    {
+        const char *doc;
+        const char *malformed;
+    };
+    const Case cases[] = {
+        {"[]", "document: expected an object"},
+        {R"({"warnings":{}})",
+         "schema: expected \"vespera-lint-baseline/v1\""},
+        {R"({"schema":"vespera-lint-baseline/v1","warnings":[]})",
+         "warnings: expected an object"},
+        {R"({"schema":"vespera-lint-baseline/v1","warnings":{"k":1}})",
+         "warnings.k: expected an object"},
+    };
+    for (const Case &c : cases) {
+        json::Value doc;
+        ASSERT_TRUE(json::parse(c.doc, doc)) << c.doc;
+        const BaselineCheck check = checkAgainstBaseline({}, doc);
+        EXPECT_FALSE(check.ok) << c.doc;
+        EXPECT_EQ(check.malformed, c.malformed) << c.doc;
+    }
+    for (const char *count : {"-1", "1.5", "1e300", "\"2\"", "null"}) {
+        const std::string text =
+            std::string(R"({"schema":"vespera-lint-baseline/v1",)") +
+            R"("warnings":{"k":{"narrow-access":)" + count + "}}}";
+        json::Value doc;
+        ASSERT_TRUE(json::parse(text, doc)) << text;
+        EXPECT_EQ(checkAgainstBaseline({}, doc).malformed,
+                  "warnings.k.narrow-access: expected a non-negative "
+                  "integer count")
+            << text;
+    }
 }
 
 } // namespace

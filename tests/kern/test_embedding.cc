@@ -4,6 +4,7 @@
 #include "digest.h"
 #include "kern/embedding.h"
 #include "obs/counters.h"
+#include "runtime/parallel.h"
 #include "runtime/pool.h"
 
 namespace vespera::kern {
@@ -19,6 +20,18 @@ smallConfig()
     c.batch = 128;
     c.pooling = 8;
     return c;
+}
+
+constexpr EmbeddingVariant kVariants[] = {
+    EmbeddingVariant::SdkSingleTable, EmbeddingVariant::SingleTable,
+    EmbeddingVariant::BatchedTable};
+
+std::string
+resultText(const EmbeddingResult &r)
+{
+    return strfmt("%a %llu %a %d", r.time,
+                  static_cast<unsigned long long>(r.gatheredBytes),
+                  r.hbmUtilization, r.kernelLaunches);
 }
 
 TEST(Embedding, AllVariantsVerifyFunctionally)
@@ -212,6 +225,48 @@ TEST(Embedding, SmallMatchesReference)
         }
     }
     runtime::Pool::setGlobalThreads(1);
+}
+
+// Table rows are written when a run first reads them. Every run checks
+// its pooled outputs against rowValue, so a row that an earlier run
+// left unwritten, or wrote wrong, fails that check.
+TEST(Embedding, OnDemandRowsDoNotDependOnRunOrder)
+{
+    for (const EmbeddingVariant v : kVariants) {
+        SCOPED_TRACE(embeddingVariantName(v));
+        const EmbeddingLayerGaudi shared(smallConfig());
+        Rng a(21), b(22), b_again(22);
+        (void)shared.run(v, a);
+        const std::string after_a = resultText(shared.run(v, b));
+        const EmbeddingLayerGaudi fresh(smallConfig());
+        EXPECT_EQ(after_a, resultText(fresh.run(v, b_again)));
+    }
+}
+
+// Runs with different seeds on one shared layer fill its rows
+// concurrently (the TSan job runs this), and each still equals its
+// serial run on a fresh layer.
+TEST(Embedding, ConcurrentRunsOnSharedLayerMatchSerial)
+{
+    constexpr std::size_t kRuns = 4;
+    for (const EmbeddingVariant v : kVariants) {
+        SCOPED_TRACE(embeddingVariantName(v));
+        std::vector<std::string> serial;
+        for (std::size_t j = 0; j < kRuns; j++) {
+            const EmbeddingLayerGaudi fresh(smallConfig());
+            Rng rng(100 + j);
+            serial.push_back(resultText(fresh.run(v, rng)));
+        }
+        runtime::Pool::setGlobalThreads(4);
+        const EmbeddingLayerGaudi shared(smallConfig());
+        const std::vector<std::string> parallel =
+            runtime::parallel_map(kRuns, [&](std::size_t j) {
+                Rng rng(100 + j);
+                return resultText(shared.run(v, rng));
+            });
+        runtime::Pool::setGlobalThreads(1);
+        EXPECT_EQ(parallel, serial);
+    }
 }
 
 TEST(EmbeddingDeath, RejectsBadVectorSize)

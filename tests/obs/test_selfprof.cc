@@ -76,6 +76,7 @@ TEST_F(SelfProfTest, CategoryNamesAreStable)
     EXPECT_STREQ(selfCatName(SelfCat::GraphBuild), "graph_build");
     EXPECT_STREQ(selfCatName(SelfCat::EngineStep), "engine_step");
     EXPECT_STREQ(selfCatName(SelfCat::Alloc), "alloc");
+    EXPECT_STREQ(selfCatName(SelfCat::HostData), "host_data");
     EXPECT_STREQ(selfCatName(SelfCat::TelemetryExport),
                  "telemetry_export");
     EXPECT_STREQ(selfCatName(SelfCat::Other), "other");
@@ -422,6 +423,7 @@ TEST_F(SelfProfTest, FixedScenarioCountsArePinned)
         {1, 0, 0},          // engine_step
         {0, 0, 0},          // alloc
         {0, 0, 0},          // telemetry_export (not pinned)
+        {0, 0, 0},          // host_data
         {0, 0, 0},          // other
     }};
     for (int c = 0; c < kSelfCats; ++c) {

@@ -162,5 +162,37 @@ TEST(Scorecard, BaselineRatchetSemantics)
     EXPECT_TRUE(checkMigrateBaseline(entries, baseline).ok);
 }
 
+// A document that is not a migrate baseline is an error naming the
+// offending field, never a run with every kernel treated as new.
+TEST(Scorecard, MalformedBaselineNamesTheField)
+{
+    const char *schema = R"("schema":"vespera-lint-migrate-baseline/v1")";
+    struct Case
+    {
+        std::string doc;
+        const char *malformed;
+    };
+    const Case cases[] = {
+        {R"({"kernels":{}})",
+         "schema: expected \"vespera-lint-migrate-baseline/v1\""},
+        {std::string("{") + schema + "}", "kernels: expected an object"},
+        {std::string("{") + schema + R"(,"kernels":{"k":[]}})",
+         "kernels.k: expected an object"},
+        {std::string("{") + schema +
+             R"(,"kernels":{"k":{"achieved_fraction":0.5}}})",
+         "kernels.k.parity: expected true or false"},
+        {std::string("{") + schema +
+             R"(,"kernels":{"k":{"parity":true,"achieved_fraction":"x"}}})",
+         "kernels.k.achieved_fraction: expected a number"},
+    };
+    for (const Case &c : cases) {
+        json::Value doc;
+        ASSERT_TRUE(json::parse(c.doc, doc)) << c.doc;
+        const BaselineCheck check = checkMigrateBaseline({}, doc);
+        EXPECT_FALSE(check.ok) << c.doc;
+        EXPECT_EQ(check.malformed, c.malformed) << c.doc;
+    }
+}
+
 } // namespace
 } // namespace vespera::analysis

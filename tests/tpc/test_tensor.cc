@@ -41,15 +41,6 @@ TEST(Tensor, FillAndRead)
     EXPECT_FLOAT_EQ(t.at(Int5{7, 0, 0, 0, 0}), 49.0f);
 }
 
-TEST(Tensor, FillRowsMatchesPerElementFill)
-{
-    Tensor rows({4, 3, 2}, DataType::FP32), flat({4, 3, 2}, DataType::FP32);
-    rows.fillRows([](std::int64_t r) { return static_cast<float>(r % 5); });
-    flat.fill([](std::int64_t i) { return static_cast<float>(i / 4 % 5); });
-    for (std::int64_t i = 0; i < flat.numElements(); i++)
-        EXPECT_EQ(rows.at(i), flat.at(i)) << i;
-}
-
 TEST(Tensor, RangeViewsContiguousRun)
 {
     Tensor t({8}, DataType::FP32);
@@ -75,8 +66,8 @@ TEST(Tensor, ZeroInitialized)
         EXPECT_FLOAT_EQ(t.at(i), 0.0f);
 }
 
-// Storage is calloc-backed: a fresh tensor reads zero everywhere,
-// untouched pages included, and copies are deep.
+// A fresh tensor reads zero everywhere, untouched pages included, and
+// copies are deep.
 TEST(Tensor, FreshLargeTensorReadsZeroAndCopies)
 {
     const std::int64_t n = (1 << 22) + 3;
@@ -98,6 +89,25 @@ TEST(Tensor, FreshLargeTensorReadsZeroAndCopies)
     for (std::int64_t i = 0; i < 8; i++)
         EXPECT_EQ(small_copy.at(i), small.at(i)) << i;
     EXPECT_DEATH((void)small_copy.range(4, 5), "out of bounds");
+}
+
+// Storage reads zero on both sides of the mapped-storage cutoff, even
+// when it reuses what a same-size tensor just filled and freed.
+TEST(Tensor, ReusedStorageReadsZeroAcrossMappedCutoff)
+{
+    constexpr auto cutoff =
+        static_cast<std::int64_t>(kMappedTensorBytes / sizeof(float));
+    for (const std::int64_t n : {cutoff - 1, cutoff, 6 * cutoff + 5}) {
+        {
+            Tensor dirty({n}, DataType::FP32);
+            dirty.fill([](std::int64_t i) {
+                return static_cast<float>(i % 7 + 1);
+            });
+        }
+        const Tensor t({n}, DataType::FP32);
+        for (const std::int64_t i : {std::int64_t{0}, n / 2, n - 1})
+            EXPECT_EQ(t.at(i), 0.0f) << n << " elements, at " << i;
+    }
 }
 
 TEST(TensorDeath, OutOfBounds)

@@ -278,6 +278,48 @@ writeFile(const std::string &path, const std::string &content)
 }
 
 /**
+ * Parse the baseline at `path`. On failure print why, naming the file
+ * and the byte offset, and return false (exit 2).
+ */
+bool
+readBaseline(const std::string &path, vespera::json::Value &out)
+{
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
+        return false;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string error;
+    if (!vespera::json::parse(buf.str(), out, &error)) {
+        std::fprintf(stderr, "baseline %s: %s\n", path.c_str(),
+                     error.c_str());
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Print a baseline comparison and return its exit code: 2 when the
+ * document is malformed (naming the file and the field), 1 on a
+ * regression, 0 when it holds.
+ */
+int
+reportBaselineCheck(const std::string &path,
+                    const vespera::analysis::BaselineCheck &check)
+{
+    if (!check.malformed.empty()) {
+        std::fprintf(stderr, "baseline %s: %s\n", path.c_str(),
+                     check.malformed.c_str());
+        return 2;
+    }
+    for (const std::string &failure : check.failures)
+        std::fprintf(stderr, "BASELINE: %s\n", failure.c_str());
+    return check.ok ? 0 : 1;
+}
+
+/**
  * Everything after rendering, identical in both modes: baseline
  * writing / in-place update / comparison, and the --fail-on gate.
  * Returns the process exit code.
@@ -302,27 +344,14 @@ finishRun(const Options &opt, const std::vector<LintEntry> &entries)
 
     int rc = 0;
     if (!opt.baselinePath.empty() && !opt.updateBaseline) {
-        std::ifstream in(opt.baselinePath);
-        if (!in) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         opt.baselinePath.c_str());
-            return 2;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
         vespera::json::Value baseline;
-        std::string error;
-        if (!vespera::json::parse(buf.str(), baseline, &error)) {
-            std::fprintf(stderr, "baseline %s: %s\n",
-                         opt.baselinePath.c_str(), error.c_str());
+        if (!readBaseline(opt.baselinePath, baseline))
             return 2;
-        }
-        const vespera::analysis::BaselineCheck check =
-            vespera::analysis::checkAgainstBaseline(entries, baseline);
-        for (const std::string &failure : check.failures)
-            std::fprintf(stderr, "BASELINE: %s\n", failure.c_str());
-        if (!check.ok)
-            rc = 1;
+        rc = reportBaselineCheck(
+            opt.baselinePath,
+            vespera::analysis::checkAgainstBaseline(entries, baseline));
+        if (rc == 2)
+            return rc;
     }
     if (!opt.failOnNothing) {
         for (const LintEntry &e : entries) {
@@ -478,13 +507,10 @@ int
 runMigrate(const Options &opt)
 {
     std::vector<vespera::analysis::MigrateEntry> entries;
-    for (vespera::analysis::MigrateEntry &e :
-         vespera::analysis::runMigrationCorpus({})) {
-        if (!opt.kernelFilter.empty() &&
-            e.kernel.find(opt.kernelFilter) == std::string::npos) {
-            continue;
-        }
-        entries.push_back(std::move(e));
+    for (const vespera::port::CorpusEntry &c :
+         vespera::port::migrationCorpus()) {
+        if (c.desc.name.find(opt.kernelFilter) != std::string::npos)
+            entries.push_back(vespera::analysis::migrateKernel(c, {}));
     }
     if (entries.empty()) {
         std::fprintf(stderr, "no kernels match filter '%s'\n",
@@ -520,27 +546,14 @@ runMigrate(const Options &opt)
 
     int rc = 0;
     if (!opt.baselinePath.empty() && !opt.updateBaseline) {
-        std::ifstream in(opt.baselinePath);
-        if (!in) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         opt.baselinePath.c_str());
-            return 2;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
         vespera::json::Value baseline;
-        std::string error;
-        if (!vespera::json::parse(buf.str(), baseline, &error)) {
-            std::fprintf(stderr, "baseline %s: %s\n",
-                         opt.baselinePath.c_str(), error.c_str());
+        if (!readBaseline(opt.baselinePath, baseline))
             return 2;
-        }
-        const vespera::analysis::BaselineCheck check =
-            vespera::analysis::checkMigrateBaseline(entries, baseline);
-        for (const std::string &failure : check.failures)
-            std::fprintf(stderr, "BASELINE: %s\n", failure.c_str());
-        if (!check.ok)
-            rc = 1;
+        rc = reportBaselineCheck(
+            opt.baselinePath,
+            vespera::analysis::checkMigrateBaseline(entries, baseline));
+        if (rc == 2)
+            return rc;
     }
     if (!opt.failOnNothing) {
         // Parity failures are always fatal; analyzer findings gate at
