@@ -77,38 +77,75 @@ runStreamGaudi(const StreamConfig &config)
     vassert(config.numTpcs >= 1,
             "bad stream config: numTpcs must be >= 1, got %d",
             config.numTpcs);
+    const Bytes es = dtypeSize(config.dt);
+    vassert(config.accessBytes >= es,
+            "bad stream config: accessBytes must be >= the %llu B "
+            "element size, got %llu",
+            static_cast<unsigned long long>(es),
+            static_cast<unsigned long long>(config.accessBytes));
+    vassert(config.extraComputePerVector >= 0,
+            "bad stream config: extraComputePerVector must be >= 0, got %d",
+            config.extraComputePerVector);
 
     const auto n = static_cast<std::int64_t>(config.numElements);
     // Large storage is mapped zero pages (tpc/tensor.h): only the pages
-    // the simulated slices touch below ever cost memory.
+    // of the trips that run below ever cost memory.
     tpc::Tensor a({n}, config.dt);
     tpc::Tensor b({n}, config.dt);
     tpc::Tensor c({n}, config.dt);
 
-    const Bytes es = dtypeSize(config.dt);
-    vassert(config.accessBytes >= es,
-            "access granularity below element size");
     const auto lanes = static_cast<std::int64_t>(config.accessBytes / es);
-
     const StreamOp op = config.op;
     const int unroll = config.unroll;
     const int extra = config.extraComputePerVector;
+    const std::int64_t step = lanes * unroll;
 
-    tpc::Kernel kernel = [&, lanes, op, unroll,
-                          extra](tpc::TpcContext &ctx) {
-        // Reused across iterations: one allocation per slice, not per
-        // unroll block.
+    // The index space is the elements themselves, so the dispatcher's
+    // per-TPC split is the kernel's element split. Every slice's
+    // trace depends only on its length: the launch simulates one
+    // slice per distinct length, and only those slices need data.
+    static const tpc::TpcDispatcher dispatcher;
+    tpc::IndexSpace space;
+    space.size = {1, n, 1, 1, 1};
+    tpc::LaunchParams params;
+    params.numTpcs = config.numTpcs;
+    params.vectorBytes = config.accessBytes;
+    params.kernelName = std::string("stream_") + streamOpName(op);
+    params.uniformSlices = true;
+    const std::vector<tpc::MemberRange> ran =
+        dispatcher.planSlices(space, params).simulatedSlices();
+    // Per simulated slice, in `ran` order: the full trips that ran.
+    std::vector<std::vector<tpc::TripRun>> tripsRan(ran.size());
+
+    // Inputs over [lo, hi). SCALE only reads `a`.
+    auto fillInputs = [&, op](std::int64_t lo, std::int64_t hi) {
+        if (lo >= hi)
+            return;
+        fillPattern(a, lo, hi, 251);
+        if (op != StreamOp::Scale)
+            fillPattern(b, lo, hi, 127);
+    };
+
+    tpc::Kernel kernel = [&, lanes, op, unroll, extra,
+                          step](tpc::TpcContext &ctx) {
+        // Reused across trips: one allocation per slice, not per trip.
         std::vector<tpc::Vec> xs, ys, rs;
         const std::int64_t begin = ctx.memberStart(1);
         const std::int64_t end = ctx.memberEnd(1);
-        for (std::int64_t d = begin; d < end; d += lanes * unroll) {
+        // One trip: `count` unrolled vectors from element `d`.
+        auto trip = [&](std::int64_t d, std::int64_t count) {
+            {
+                // This trip's inputs, just before its loads. The
+                // slice's first vector was filled before the launch:
+                // the previous slice's last load may read it.
+                obs::SelfTimer self(obs::SelfCat::HostData);
+                fillInputs(std::max(d, begin + lanes),
+                           std::min(d + count * lanes, end));
+            }
             xs.clear();
             ys.clear();
-            for (int u = 0; u < unroll; u++) {
-                const std::int64_t at = d + u * lanes;
-                if (at >= end)
-                    break;
-                tpc::Int5 coord{at, 0, 0, 0, 0};
+            for (std::int64_t u = 0; u < count; u++) {
+                tpc::Int5 coord{d + u * lanes, 0, 0, 0, 0};
                 xs.push_back(ctx.v_ld_tnsr(coord, a, config.accessBytes));
                 if (op != StreamOp::Scale)
                     ys.push_back(
@@ -149,46 +186,57 @@ runStreamGaudi(const StreamConfig &config)
                 ctx.v_st_tnsr(coord, op == StreamOp::Scale ? b : c,
                               rs[u], tpc::Access::Stream, end - at);
             }
-        }
+        };
+        // Full trips record one body each and read no value an earlier
+        // trip defined, so the steady loop may skip most of them; the
+        // ragged last trip (fewer vectors, or a tail past `end`) runs
+        // after it.
+        const std::int64_t full = (end - begin) / step;
+        const auto slice = static_cast<std::size_t>(
+            std::find_if(ran.begin(), ran.end(),
+                         [&](const tpc::MemberRange &r) {
+                             return r.start[1] == begin;
+                         }) -
+            ran.begin());
+        vassert(slice < ran.size(), "STREAM slice at %lld was not planned",
+                static_cast<long long>(begin));
+        tripsRan[slice] = ctx.steadyLoop(full, [&](std::int64_t t) {
+            trip(begin + t * step, unroll);
+        });
+        const std::int64_t d = begin + full * step;
+        if (d < end)
+            trip(d, (end - d + lanes - 1) / lanes);
     };
 
-    // The index space is the elements themselves, so the dispatcher's
-    // per-TPC split is the kernel's element split. Every slice's
-    // trace depends only on its length: the launch simulates one
-    // slice per distinct length, and only those slices need data.
-    static const tpc::TpcDispatcher dispatcher;
-    tpc::IndexSpace space;
-    space.size = {1, n, 1, 1, 1};
-    tpc::LaunchParams params;
-    params.numTpcs = config.numTpcs;
-    params.vectorBytes = config.accessBytes;
-    params.kernelName = std::string("stream_") + streamOpName(op);
-    params.uniformSlices = true;
-    const std::vector<tpc::MemberRange> ran =
-        dispatcher.planSlices(space, params).simulatedSlices();
-
-    // Inputs over each simulated slice. The lanes of a slice's last
-    // vector that read past its end are never stored, so their data
-    // does not matter. SCALE only writes `b`.
+    // Each simulated slice's first vector, clipped to the arrays: the
+    // lanes of a slice's last vector that read past its end land
+    // there (their data never matters, as they are never stored), so
+    // no trip may write them while the slices run.
     {
         obs::SelfTimer self(obs::SelfCat::HostData);
-        for (const tpc::MemberRange &s : ran) {
-            fillPattern(a, s.start[1], s.end[1], 251);
-            if (op != StreamOp::Scale)
-                fillPattern(b, s.start[1], s.end[1], 127);
-        }
+        for (const tpc::MemberRange &s : ran)
+            fillInputs(s.start[1], std::min(s.start[1] + lanes, n));
     }
 
     auto launch = dispatcher.launch(kernel, space, params);
 
-    // Spot-verify functional output at the start, middle and last
-    // element of every simulated slice.
+    // Spot-verify the functional output at the first and last element
+    // of every run of trips that ran, and of the ragged last trip.
     obs::SelfTimer self(obs::SelfCat::HostData);
-    for (const tpc::MemberRange &s : ran) {
-        const std::int64_t begin = s.start[1];
-        const std::int64_t end = s.end[1];
-        for (const std::int64_t i :
-             {begin, begin + (end - begin) / 2, end - 1}) {
+    for (std::size_t k = 0; k < ran.size(); k++) {
+        const std::int64_t begin = ran[k].start[1];
+        const std::int64_t end = ran[k].end[1];
+        std::vector<std::int64_t> checked;
+        for (const tpc::TripRun &r : tripsRan[k]) {
+            checked.push_back(begin + r.begin * step);
+            checked.push_back(begin + r.end * step - 1);
+        }
+        const std::int64_t ragged = begin + (end - begin) / step * step;
+        if (ragged < end) {
+            checked.push_back(ragged);
+            checked.push_back(end - 1);
+        }
+        for (const std::int64_t i : checked) {
             const float x = static_cast<float>(i % 251);
             const float y = static_cast<float>(i % 127);
             float want = 0;

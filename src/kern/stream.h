@@ -3,8 +3,8 @@
  * STREAM-style non-GEMM microbenchmarks (Algorithm 1 of the paper):
  * ADD (c = a + b), SCALE (b = s * a), TRIAD (c = s * a + b).
  *
- * The Gaudi versions are real TPC-C kernels executed on the simulated
- * TPC array; the A100 versions are costed with the SIMT model. The
+ * The Gaudi versions are real TPC-C kernels run on the simulated TPC
+ * array; the A100 versions are costed with the SIMT model. The
  * configuration exposes exactly the axes Figure 8 sweeps: data access
  * granularity, loop unrolling factor, TPC count, and an artificial
  * operational-intensity multiplier.
@@ -60,8 +60,13 @@ struct StreamResult
 };
 
 /**
- * Run the microbenchmark on the simulated Gaudi-2 TPC array.
- * Functionally executes the kernel; panics if results are wrong.
+ * Run the microbenchmark on the simulated Gaudi-2 TPC array. Each
+ * simulated slice runs its full unrolled trips through
+ * TpcContext::steadyLoop, which times every trip but executes only
+ * some; the kernel fills inputs for, and spot-checks the output of,
+ * the trips that ran, and panics if a result is wrong. Fails, naming
+ * the field, on a config with no elements, an unroll or TPC count
+ * below 1, an access below one element, or negative filler.
  */
 StreamResult runStreamGaudi(const StreamConfig &config);
 

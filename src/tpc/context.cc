@@ -19,6 +19,96 @@ TpcContext::TpcContext(Program &program, const MemberRange &range,
     opLabels_.fill(-1);
 }
 
+SteadyLoop::SteadyLoop(Program &program, std::int64_t trips)
+    : program_(program), trips_(trips),
+      // An inner loop of a watched one runs every trip.
+      watching_(trips > 2 && program.canAdvance() && !program.watched())
+{
+    vassert(trips >= 0, "steady loop of %lld trips",
+            static_cast<long long>(trips));
+    if (watching_) {
+        watch_.loopFirstValue = program.numValues();
+        program.watch(&watch_);
+    }
+}
+
+SteadyLoop::~SteadyLoop()
+{
+    if (watching_)
+        program_.watch(nullptr);
+}
+
+void
+SteadyLoop::closeTrip()
+{
+    if (watch_.crossTrip) {
+        // Trips depend on each other: run them all, unwatched.
+        watching_ = false;
+        program_.watch(nullptr);
+        return;
+    }
+    if (seen_ == 3) {
+        std::rotate(window_.begin(), window_.begin() + 1, window_.end());
+        signatures_[0] = signatures_[1];
+        seen_ = 2;
+    }
+    window_[static_cast<std::size_t>(seen_)] = {
+        program_.sink()->state(), program_.totals()};
+    if (seen_ > 0)
+        signatures_[static_cast<std::size_t>(seen_ - 1)] = watch_.signature;
+    seen_++;
+    if (seen_ < 3 || signatures_[0] != signatures_[1] || next_ >= trips_)
+        return;
+
+    const Program::Totals &f0 = window_[0].totals;
+    const Program::Totals &f1 = window_[1].totals;
+    const Program::Totals &f2 = window_[2].totals;
+    const double flops = f1.flops - f0.flops;
+    if (f2.flops - f1.flops != flops)
+        return;
+    std::int64_t skip = std::min(
+        {steadyTrips({window_[0].board, window_[1].board, window_[2].board},
+                     watch_.invariantReady),
+         binadeTrips(f0.flops, f2.flops, flops), trips_ - next_});
+    if (skip <= 0)
+        return;
+    program_.sink()->advance(window_[1].board, window_[2].board, skip);
+    program_.advance(f1, f2, skip);
+    next_ += skip;
+    // The advanced state is a trip boundary like any other, but the
+    // next trip does not follow the observed ones.
+    window_[0] = {program_.sink()->state(), program_.totals()};
+    seen_ = 1;
+}
+
+std::int64_t
+SteadyLoop::next()
+{
+    if (watching_) {
+        if (seen_ > 0) {
+            closeTrip();
+        } else {
+            window_[0] = {program_.sink()->state(), program_.totals()};
+            seen_ = 1;
+        }
+    }
+    if (next_ >= trips_) {
+        if (watching_) {
+            watching_ = false;
+            program_.watch(nullptr);
+        }
+        return trips_;
+    }
+    if (watching_) {
+        watch_.tripFirstValue = program_.numValues();
+        watch_.signature = 0;
+    }
+    if (runs_.empty() || runs_.back().end != next_)
+        runs_.push_back({next_, next_});
+    runs_.back().end = next_ + 1;
+    return next_++;
+}
+
 namespace {
 /// Instr::memStream id of the TPC-local scratchpad.
 constexpr std::uint32_t localMemStream = 1;

@@ -13,6 +13,14 @@
  * once and then copies it in bulk, and each intrinsic's op label and
  * each tensor's stream id are resolved once per context.
  *
+ * A loop whose trips all record the same instructions can run through
+ * steadyLoop, which issues trips until the timing model's scoreboard
+ * moves periodically and then advances it past the rest of the
+ * current binade in one step, bit for bit what issuing every trip
+ * gives. The trips it skips run no kernel code at all: no lanes move
+ * and no tensor is touched, so a kernel fills and verifies data only
+ * for the trips steadyLoop reports it ran.
+ *
  * Intrinsic names intentionally follow TPC-C spelling (lower_snake with
  * v_/s_ prefixes) rather than house style, to keep kernels recognizable
  * next to the paper's Figure 2(c) listing.
@@ -27,6 +35,7 @@
 #include <vector>
 
 #include "tpc/lanes.h"
+#include "tpc/pipeline.h"
 #include "tpc/program.h"
 #include "tpc/tensor.h"
 
@@ -55,6 +64,58 @@ struct MemberRange
                 return true;
         return false;
     }
+};
+
+/** Trips [begin, end) of a steady loop that ran in full. */
+struct TripRun
+{
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+
+    bool operator==(const TripRun &) const = default;
+};
+
+/**
+ * The bookkeeping behind TpcContext::steadyLoop: hands out the trips
+ * to run and, once the last two agree, advances the program and its
+ * evaluator past as many trips as steadyTrips allows.
+ */
+class SteadyLoop
+{
+  public:
+    SteadyLoop(Program &program, std::int64_t trips);
+    ~SteadyLoop();
+    SteadyLoop(const SteadyLoop &) = delete;
+    SteadyLoop &operator=(const SteadyLoop &) = delete;
+
+    /** Close the trip that just ran, if any, skip what can be skipped,
+     *  and return the next trip to run (`trips` when done). */
+    std::int64_t next();
+
+    /** The trips handed out, as ascending runs. */
+    const std::vector<TripRun> &runs() const { return runs_; }
+
+  private:
+    /// Scoreboard and totals at a trip boundary.
+    struct Boundary
+    {
+        ScoreboardState board;
+        Program::Totals totals;
+    };
+
+    void closeTrip();
+
+    Program &program_;
+    std::int64_t trips_;
+    std::int64_t next_ = 0;
+    bool watching_;
+    Program::LoopWatch watch_;
+    /// The last boundaries of consecutive executed trips (`seen_` of
+    /// them valid), and the signatures of the trips between them.
+    std::array<Boundary, 3> window_;
+    std::array<std::uint64_t, 2> signatures_{};
+    int seen_ = 0;
+    std::vector<TripRun> runs_;
 };
 
 /** Per-TPC execution context handed to kernels. */
@@ -154,6 +215,28 @@ class TpcContext
     /** Peak local-memory footprint observed, in bytes (4 B per lane). */
     Bytes localHighWater() const { return localHighWater_ * 4; }
     /// @}
+
+    /**
+     * Run `body(trip)` for trips 0..trips-1 of a loop whose trips all
+     * record the same instruction sequence, up to value ids, memory
+     * offsets and streams, and never read a value an earlier trip
+     * defined; no value a trip defines is read after the loop. Trips
+     * whose timing steadyTrips can extrapolate exactly are advanced
+     * past instead of run. Every trip runs while a trace is kept
+     * (trace observer), while the stall track is sampled (Profiler
+     * tracing), for a program without an evaluator sink, and whenever
+     * a trip reads a value an earlier one defined. Returns the trips
+     * that ran, as ascending runs.
+     */
+    template <typename Body>
+    std::vector<TripRun>
+    steadyLoop(std::int64_t trips, Body &&body)
+    {
+        SteadyLoop loop(program_, trips);
+        for (std::int64_t t = loop.next(); t < trips; t = loop.next())
+            body(t);
+        return loop.runs();
+    }
 
     Bytes defaultVectorBytes() const { return defaultVectorBytes_; }
     Bytes localMemoryBytes() const { return localMemoryBytes_; }

@@ -34,6 +34,14 @@
  * AddressBlind.TimingIgnoresOffsetsAndStreamsOnEveryKernel
  * (tests/analysis/test_address_blind.cc) pins that premise on every
  * registered kernel.
+ *
+ * Within a simulated slice, a kernel loop that runs through
+ * TpcContext::steadyLoop may skip most of its trips: the evaluator's
+ * scoreboard and the program's totals advance past them exactly. The
+ * dispatcher's evaluator allows that only when nothing needs every
+ * instruction: no trace observer is installed (the program keeps no
+ * trace) and the Profiler is not tracing (no `tpc.stall_cycles`
+ * samples). Observers therefore always see complete traces.
  */
 
 #ifndef VESPERA_TPC_DISPATCHER_H

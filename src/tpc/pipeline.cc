@@ -1,6 +1,8 @@
 #include "tpc/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "obs/counters.h"
@@ -161,6 +163,111 @@ PipelineEvaluator::finish(Flops flops)
                                          r.stallCycles);
     }
     return r;
+}
+
+ScoreboardState
+PipelineEvaluator::state() const
+{
+    ScoreboardState s;
+    std::copy(std::begin(slotFree_), std::end(slotFree_), s.times.begin());
+    s.times[numSlots] = memNextFree_;
+    s.times[ScoreboardState::lastIssue] = lastIssue_;
+    s.times[numSlots + 2] = completion_;
+    s.stallCycles = r_.stallCycles;
+    s.instructions = r_.instructions;
+    s.busBytes = r_.busBytes;
+    s.randomTxns = r_.randomTxns;
+    s.randomAccesses = r_.randomAccesses;
+    return s;
+}
+
+void
+PipelineEvaluator::advance(const ScoreboardState &from,
+                           const ScoreboardState &to, std::int64_t trips)
+{
+    vassert(trips >= 0 && canAdvance(), "bad scoreboard advance");
+    const double k = static_cast<double>(trips);
+    const auto n = static_cast<std::uint64_t>(trips);
+    ScoreboardState s = to;
+    // Unmoved components add k * 0; moved ones k * δ, exact within the
+    // binade steadyTrips checked.
+    for (std::size_t i = 0; i < s.times.size(); i++)
+        s.times[i] += k * (to.times[i] - from.times[i]);
+    std::copy_n(s.times.begin(), numSlots, slotFree_);
+    memNextFree_ = s.times[numSlots];
+    lastIssue_ = s.times[ScoreboardState::lastIssue];
+    completion_ = s.times[numSlots + 2];
+    r_.stallCycles =
+        to.stallCycles + k * (to.stallCycles - from.stallCycles);
+    r_.instructions =
+        to.instructions + n * (to.instructions - from.instructions);
+    r_.busBytes = to.busBytes + n * (to.busBytes - from.busBytes);
+    r_.randomTxns = to.randomTxns + n * (to.randomTxns - from.randomTxns);
+    r_.randomAccesses =
+        to.randomAccesses + n * (to.randomAccesses - from.randomAccesses);
+}
+
+std::int64_t
+binadeTrips(double first, double last, double step)
+{
+    constexpr std::int64_t unbounded =
+        std::numeric_limits<std::int64_t>::max();
+    if (step == 0)
+        return unbounded;
+    if (!(step > 0) || !(first > 0))
+        return 0;
+    const int e = std::ilogb(first);
+    const double top = std::ldexp(1.0, e + 1);
+    if (!(last < top) || std::ilogb(last) != e)
+        return 0;
+    // top - last is exact (both in [2^e, 2^(e+1)]); the quotient may
+    // round up across an integer, which the loop takes back.
+    const double q = std::floor((top - last) / step);
+    auto n = q >= 0x1p62 ? std::int64_t{1} << 62
+                         : static_cast<std::int64_t>(q);
+    while (n > 0 && !(last + static_cast<double>(n) * step < top))
+        n--;
+    return n;
+}
+
+std::int64_t
+steadyTrips(const std::array<ScoreboardState, 3> &s, double invariantReady)
+{
+    constexpr std::size_t li = ScoreboardState::lastIssue;
+    const double start = s[0].times[li];
+    const double delta = s[1].times[li] - start;
+    if (!(delta > 0) || !(invariantReady <= start))
+        return 0;
+    const int e = std::ilogb(start);
+    std::int64_t trips = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t i = 0; i < s[0].times.size(); i++) {
+        const double d1 = s[1].times[i] - s[0].times[i];
+        const double d2 = s[2].times[i] - s[1].times[i];
+        if (d1 == 0 && d2 == 0) {
+            if (!(s[0].times[i] <= start))
+                return 0;
+        } else if (d1 == delta && d2 == delta &&
+                   std::ilogb(s[0].times[i]) == e) {
+            trips = std::min(trips,
+                             binadeTrips(start, s[2].times[i], delta));
+        } else {
+            return 0;
+        }
+    }
+    const double stall = s[1].stallCycles - s[0].stallCycles;
+    if (s[2].stallCycles - s[1].stallCycles != stall)
+        return 0;
+    trips = std::min(
+        trips, binadeTrips(s[0].stallCycles, s[2].stallCycles, stall));
+    auto same = [&](auto field) {
+        return s[1].*field - s[0].*field == s[2].*field - s[1].*field;
+    };
+    if (!same(&ScoreboardState::instructions) ||
+        !same(&ScoreboardState::busBytes) ||
+        !same(&ScoreboardState::randomTxns) ||
+        !same(&ScoreboardState::randomAccesses))
+        return 0;
+    return trips;
 }
 
 PipelineResult

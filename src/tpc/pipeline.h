@@ -13,11 +13,18 @@
  * trace; the TPC dispatcher feeds it each instruction as the kernel
  * records it (Program's evaluator sink), so a launch keeps no trace
  * unless a trace observer asks for one.
+ *
+ * A loop whose timing has gone periodic need not issue every trip:
+ * the evaluator exports its scoreboard as a ScoreboardState, and
+ * steadyTrips / PipelineEvaluator::advance let TpcContext::steadyLoop
+ * move it by many trips in one step, bit for bit what issuing them
+ * would give (docs/runtime.md, "Steady loops").
  */
 
 #ifndef VESPERA_TPC_PIPELINE_H
 #define VESPERA_TPC_PIPELINE_H
 
+#include <array>
 #include <vector>
 
 #include "common/types.h"
@@ -108,6 +115,26 @@ struct IssueTrace
 };
 
 /**
+ * The scoreboard of a PipelineEvaluator at a loop-trip boundary, less
+ * the per-value ready times: what steadyTrips compares across trips
+ * and PipelineEvaluator::advance moves.
+ */
+struct ScoreboardState
+{
+    /// Time components: the per-slot free times, then the memory
+    /// interface's free time, the last issue and the completion time.
+    std::array<double, numSlots + 3> times{};
+    double stallCycles = 0;
+    std::uint64_t instructions = 0;
+    Bytes busBytes = 0;
+    std::uint64_t randomTxns = 0;
+    std::uint64_t randomAccesses = 0;
+
+    /// Index of the last-issue time in `times`.
+    static constexpr std::size_t lastIssue = numSlots + 1;
+};
+
+/**
  * The timing model as an online scoreboard. issue() applies the issue
  * rules to the next instruction of one TPC's stream; finish() closes
  * the stream and returns its PipelineResult. Only the scoreboard is
@@ -135,6 +162,34 @@ class PipelineEvaluator
 
     /** Close the stream: drain, and stamp the program's `flops`. */
     PipelineResult finish(Flops flops);
+
+    /// @name Steady-loop support (TpcContext::steadyLoop).
+    /// @{
+    /** False while every instruction must really issue: when an
+     *  IssueTrace is recorded or the stall track sampled. */
+    bool canAdvance() const { return trace_ == nullptr && !sampling_; }
+
+    /** The scoreboard now, less the per-value ready times. */
+    ScoreboardState state() const;
+
+    /** Ready time of value `id` (0 when never written). */
+    double
+    readyTime(std::int32_t id) const
+    {
+        const auto i = static_cast<std::size_t>(id);
+        return id >= 0 && i < ready_.size() ? ready_[i] : 0.0;
+    }
+
+    /**
+     * Move the scoreboard, which must be at `to`, by `trips` more
+     * repeats of the trip that took it from `from` to `to`, without
+     * issuing them. Exact only where steadyTrips allows `trips`.
+     * Ready times are not touched: the skipped trips' values are
+     * never read.
+     */
+    void advance(const ScoreboardState &from, const ScoreboardState &to,
+                 std::int64_t trips);
+    /// @}
 
   private:
     TpcParams params_;
@@ -164,6 +219,37 @@ class PipelineEvaluator
 PipelineResult evaluatePipeline(const Program &program,
                                 const TpcParams &params,
                                 IssueTrace *trace = nullptr);
+
+/**
+ * How many more trips of a loop can be advanced in one step, bit for
+ * bit what issuing them would give. `s` holds the scoreboard at the
+ * three boundaries of two consecutive trips that recorded the same
+ * instructions, up to value ids, and read no value an earlier trip
+ * defined; `invariantReady` is the latest ready time of a value from
+ * before the loop that they read. Returns 0 unless:
+ *  1. both trips moved the last issue by one δ > 0, and every other
+ *     time component by δ in both or by 0 in both; the stall
+ *     accumulator and each count by the same amount in both;
+ *  2. every component that did not move, and `invariantReady`, is at
+ *     or below the last issue at `s[0]`, so none can bind a later trip;
+ *  3. every moved time value, from `s[0]` to the end of the advanced
+ *     trips, stays in the binade [2^e, 2^(e+1)) of the last issue at
+ *     `s[0]`, and the stall accumulator in its own (binadeTrips).
+ * Within one binade every add rounds alike under a shift by an even
+ * number of ulps, ties included; two observed trips make every shift
+ * a sum of such pairs, so the advanced scoreboard is exact.
+ */
+std::int64_t steadyTrips(const std::array<ScoreboardState, 3> &s,
+                         double invariantReady);
+
+/**
+ * Steps of size `step` that an accumulator at `last` can take and stay
+ * below the top of the binade of `first` (the value before the first
+ * observed trip; `last` is in the same binade or the result is 0).
+ * A step of 0 is unbounded (INT64_MAX); a negative step, or a
+ * non-positive `first` with a positive step, allows none.
+ */
+std::int64_t binadeTrips(double first, double last, double step);
 
 /**
  * Add one evaluated trace to the `tpc.{instructions,cycles,

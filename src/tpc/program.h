@@ -29,6 +29,11 @@ class PipelineEvaluator;
  * observer is installed. Running totals (flops, stream and random
  * bytes, instruction count) are kept either way; everything that walks
  * the trace fails, naming the kernel, on a program that dropped it.
+ *
+ * TpcContext::steadyLoop may advance those totals, with the sink's
+ * scoreboard, by trips it never records (canAdvance); no value ids are
+ * allocated for such trips. A LoopWatch attached meanwhile sees every
+ * appended instruction of the trips that do run.
  */
 class Program
 {
@@ -58,6 +63,8 @@ class Program
             else if (instr.access == Access::Random)
                 randomBytes_ += instr.memBytes;
         }
+        if (sink_.watch != nullptr) [[unlikely]]
+            watchInstr(instr);
         if (sink_.evaluator != nullptr)
             issueToSink(instr);
         if (keepTrace_) {
@@ -149,12 +156,73 @@ class Program
 
     Stats stats() const;
 
+    /// @name Steady-loop support (TpcContext::steadyLoop).
+    /// @{
+    /** The running totals a loop trip moves. */
+    struct Totals
+    {
+        std::size_t instrs = 0;
+        double flops = 0;
+        Bytes streamBytes = 0;
+        Bytes randomBytes = 0;
+    };
+
+    Totals
+    totals() const
+    {
+        return {numInstrs_, flops_, streamBytes_, randomBytes_};
+    }
+
+    /**
+     * True when trips may be advanced without recording them: the
+     * program streams into an evaluator that can advance, and keeps
+     * no trace.
+     */
+    bool canAdvance() const;
+
+    /** The evaluator sink (null on a default-constructed program). */
+    PipelineEvaluator *sink() const { return sink_.evaluator; }
+
+    /**
+     * Add `trips` repeats of the trip that took the totals from `from`
+     * to `to` (the current totals). Exact where the flops accumulator
+     * stays in one binade (binadeTrips).
+     */
+    void advance(const Totals &from, const Totals &to, std::int64_t trips);
+
+    /**
+     * What the recorded instructions of one loop trip look like, for
+     * comparing trips. `signature` hashes every timing-relevant field,
+     * with value ids taken relative to `tripFirstValue` and local
+     * memory offsets included (they set the local high-water mark).
+     */
+    struct LoopWatch
+    {
+        std::int32_t loopFirstValue = 0; ///< First value of the loop.
+        std::int32_t tripFirstValue = 0; ///< First value of this trip.
+        std::uint64_t signature = 0;     ///< Of this trip so far.
+        /// Latest ready time of a value from before the loop read.
+        double invariantReady = 0;
+        /// A trip read a value that an earlier trip defined.
+        bool crossTrip = false;
+    };
+
+    /** Show every appended instruction to `watch` (null detaches);
+     *  only on a program that canAdvance. */
+    void watch(LoopWatch *watch);
+
+    /** True while a LoopWatch is attached. */
+    bool watched() const { return sink_.watch != nullptr; }
+    /// @}
+
   private:
-    /// The evaluator append() issues to, if any. Copies drop it: a
-    /// copy is a snapshot of the trace, not a second recording.
+    /// The evaluator append() issues to, if any, and the loop watch.
+    /// Copies drop both: a copy is a snapshot of the trace, not a
+    /// second recording.
     struct Sink
     {
         PipelineEvaluator *evaluator = nullptr;
+        LoopWatch *watch = nullptr;
 
         Sink() = default;
         explicit Sink(PipelineEvaluator *e) : evaluator(e) {}
@@ -162,13 +230,16 @@ class Program
         Sink &
         operator=(const Sink &other)
         {
-            if (this != &other)
+            if (this != &other) {
                 evaluator = nullptr;
+                watch = nullptr;
+            }
             return *this;
         }
     };
 
     void issueToSink(const Instr &instr);
+    void watchInstr(const Instr &instr);
     [[noreturn]] void traceDropped() const;
 
     Sink sink_;

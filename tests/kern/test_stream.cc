@@ -1,7 +1,15 @@
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "digest.h"
 #include "kern/stream.h"
+#include "obs/counters.h"
+#include "obs/selfprof.h"
 #include "runtime/pool.h"
+#include "tpc/dispatcher.h"
 
 namespace vespera::kern {
 namespace {
@@ -198,6 +206,82 @@ TEST(Stream, RaggedSizeMatchesReference)
     runtime::Pool::setGlobalThreads(1);
 }
 
+// With nothing observing a launch, STREAM's full trips run through
+// TpcContext::steadyLoop, which skips most of them; a no-op trace
+// observer makes every trip run. Both must report the same results
+// and tpc.* counters bit for bit, serially and on 4 pool threads, over
+// every op at fig8's granularities, unrolls 1-16, 1/3/24 TPCs, filler
+// 0/8/32 and ragged element counts. STREAM fills each trip's inputs
+// under its own host_data timer, so the self-profile's host_data call
+// count is the trips that ran (plus the first-vector fill and the
+// verification).
+TEST(Stream, SteadyStateMatchesFullSimulation)
+{
+    const Bytes grans[] = {4, 16, 64, 128, 256, 512, 1024, 2048};
+    const int unrolls[] = {1, 2, 4, 8, 16};
+    const int tpcs[] = {1, 3, 24};
+    const int fillers[] = {0, 8, 32};
+    obs::SelfProf &prof = obs::SelfProf::instance();
+    auto trips_ran = [&] {
+        const auto calls = prof.snapshot().ledger.calls[static_cast<int>(
+            obs::SelfCat::HostData)];
+        prof.reset();
+        return static_cast<double>(calls) - 2;
+    };
+    double best_skip = 0;
+    int k = 0;
+    for (StreamOp op : {StreamOp::Add, StreamOp::Scale, StreamOp::Triad}) {
+        for (const Bytes gran : grans) {
+            StreamConfig c;
+            c.op = op;
+            c.accessBytes = gran;
+            c.unroll = unrolls[k % 5];
+            c.numTpcs = tpcs[k % 3];
+            c.extraComputePerVector = fillers[k / 3 % 3];
+            c.numElements = gran / 2 * 3000 + 37 * static_cast<unsigned>(k);
+            k++;
+            std::string want;
+            for (const int threads : {1, 4}) {
+                runtime::Pool::setGlobalThreads(threads);
+                double full = 0;
+                for (const bool observed : {true, false}) {
+                    SCOPED_TRACE(strfmt(
+                        "%s %lluB unroll %d x%d filler %d, %llu elements, "
+                        "%d threads, %s",
+                        streamOpName(op),
+                        static_cast<unsigned long long>(gran), c.unroll,
+                        c.numTpcs, c.extraComputePerVector,
+                        static_cast<unsigned long long>(c.numElements),
+                        threads, observed ? "observed" : "steady"));
+                    std::optional<tpc::ScopedTraceObserver> observer;
+                    if (observed)
+                        observer.emplace([](const tpc::Program &, int) {});
+                    obs::CounterRegistry::instance().reset();
+                    prof.reset();
+                    prof.setEnabled(true);
+                    const StreamResult r = runStreamGaudi(c);
+                    const double ran = trips_ran();
+                    prof.setEnabled(false);
+                    const std::string got =
+                        strfmt("%a %a %a %a %a %a | ", r.time, r.flops,
+                               r.gflops, r.vectorUtilization,
+                               r.hbmUtilization, r.operationalIntensity) +
+                        test::counterDigest({"tpc.", "attrib.tpc."});
+                    if (want.empty())
+                        want = got;
+                    EXPECT_EQ(got, want);
+                    if (observed)
+                        full = ran;
+                    else
+                        best_skip = std::max(best_skip, 1 - ran / full);
+                }
+            }
+        }
+    }
+    runtime::Pool::setGlobalThreads(1);
+    EXPECT_GT(best_skip, 0.9);
+}
+
 // Config errors name the offending field and its value.
 TEST(StreamDeath, BadConfigNamesField)
 {
@@ -210,6 +294,13 @@ TEST(StreamDeath, BadConfigNamesField)
     c = smallConfig(StreamOp::Add);
     c.numTpcs = -3;
     EXPECT_DEATH((void)runStreamGaudi(c), "numTpcs .* got -3");
+    c = smallConfig(StreamOp::Add);
+    c.accessBytes = 1;
+    EXPECT_DEATH((void)runStreamGaudi(c), "accessBytes .* got 1");
+    c = smallConfig(StreamOp::Add);
+    c.extraComputePerVector = -2;
+    EXPECT_DEATH((void)runStreamGaudi(c),
+                 "extraComputePerVector .* got -2");
 }
 
 } // namespace

@@ -3,6 +3,9 @@
 # with, for one Release build of the working tree,
 #  - every bench binary's wall, user and sys time at --threads 1 and 4
 #    (stdout discarded, no telemetry flags);
+#  - for each heavy bench (at least 0.1 s at --threads 1), the host
+#    self-profile of one more `--selfprof --threads 1` run: its window
+#    and each category's share of it (docs/observability.md);
 #  - the wall time and pass count of `ctest -j<nproc>`;
 #  - machine info (CPU model and count, memory, kernel, compiler);
 #  - perfbench's end-to-end metrics, scaled and as measured, for each
@@ -35,10 +38,13 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 root, build, n = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]), sys.argv[3]
 workloads = sys.argv[4].split()
+# Benches at least this slow at --threads 1 get a self-profile row.
+heavy_s = 0.1
 
 
 def timed(cmd, **kw):
@@ -90,10 +96,24 @@ for exe in sorted((build / "bench").glob("bench_*")):
         row[f"threads{threads}"] = {"wall_s": round(wall, 4),
                                     "user_s": round(user, 4),
                                     "sys_s": round(sys_, 4)}
+    if row["threads1"]["wall_s"] >= heavy_s:
+        with tempfile.TemporaryDirectory() as tmp:
+            metrics = pathlib.Path(tmp) / "metrics.json"
+            subprocess.run([str(exe), "--threads=1", "--selfprof",
+                            f"--metrics={metrics}"], check=True,
+                           stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+            host = json.loads(metrics.read_text())["host"]
+        window = host["window_ns"]
+        row["selfprof_threads1"] = {
+            "window_s": round(window / 1e9, 4),
+            "share": {cat: round(ns / window, 4) if window else 0.0
+                      for cat, ns in sorted(host["time"].items())},
+        }
     benches[exe.name] = row
     print(f"{exe.name:36s} " + "  ".join(
-        f"t{t[-1]} {v['wall_s']:.3f} s" for t, v in row.items()),
-        file=sys.stderr)
+        f"t{t[-1]} {row[t]['wall_s']:.3f} s"
+        for t in ("threads1", "threads4")), file=sys.stderr)
 
 run, wall, user, sys_ = timed(["ctest", "-j", str(os.cpu_count())],
                               cwd=build, capture_output=True, text=True)
