@@ -163,7 +163,7 @@ Executor::run(const Graph &graph) const
 }
 
 void
-Executor::fold(const std::vector<OpCost> &perNode)
+Executor::fold(const std::vector<OpCost> &perNode, std::uint64_t n)
 {
     static obs::Counter &ops =
         obs::CounterRegistry::instance().counter("graph.ops");
@@ -176,13 +176,13 @@ Executor::fold(const std::vector<OpCost> &perNode)
                                       prev_geometry &&
                                       *prev_geometry != c.geometry;
             kern::chargeGemm(c.engine, c.gemm, c.geometry, c.time,
-                             c.matrixBusy, c.memoryTime, reconfigured);
+                             c.matrixBusy, c.memoryTime, reconfigured, n);
             prev_geometry = &c.geometry;
         }
         // Per-OpKind execution-time breakdown (the per-op view the
         // Gaudi profiler timeline aggregates to).
-        timeCounter(c.kind).add(c.time);
-        ops.add();
+        timeCounter(c.kind).add(c.time * static_cast<double>(n), n);
+        ops.add(static_cast<double>(n), n);
     }
 }
 

@@ -80,13 +80,14 @@ class Executor
     ExecutionReport evaluate(const Graph &graph) const;
 
     /**
-     * Charge one graph's ExecutionReport::perNode in node order: each
-     * MatMul through kern::chargeGemm, then `graph.time.<kind>` and
-     * `graph.ops`. A MatMul whose geometry differs from the previous
-     * MatMul of the same graph reconfigured the MME, so
-     * `mme.reconfigs` counts per graph.
+     * Charge `n` runs of one graph's ExecutionReport::perNode in node
+     * order: each MatMul through kern::chargeGemm, then
+     * `graph.time.<kind>` and `graph.ops`. A MatMul whose geometry
+     * differs from the previous MatMul of the same graph reconfigured
+     * the MME, so `mme.reconfigs` counts per graph run.
      */
-    static void fold(const std::vector<OpCost> &perNode);
+    static void fold(const std::vector<OpCost> &perNode,
+                     std::uint64_t n = 1);
 
     DeviceKind device() const { return device_; }
 

@@ -7,7 +7,9 @@
  * (hw/mme.h), so a memo stores the value only; the caller's fold
  * (graph::Executor::fold) charges it on every use, hit or miss. Cache
  * on and cache off thus charge bitwise-identical counters at any
- * thread count (tests/property/prop_replay_cache.cc). Two instances:
+ * thread count (tests/property/prop_replay_cache.cc); a caller that
+ * takes one value n times may fold it once with count n instead
+ * (serve/engine.h). Two instances:
  *  - the **node memo** (`replay.node.*`) stores one graph node's
  *    OpCost, keyed by its full cost payload + device, so a new context
  *    bucket re-evaluates only the attention node;

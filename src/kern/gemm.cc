@@ -37,7 +37,7 @@ engineStats(const std::string &ns)
 void
 chargeGemm(hw::GemmEngine engine, const hw::GemmShape &shape,
            const std::string &geometry, Seconds time, Seconds compute,
-           Seconds memory, bool reconfigured)
+           Seconds memory, bool reconfigured, std::uint64_t n)
 {
     // Registered on each engine's first charge, so a run publishes
     // only the engines it used.
@@ -51,11 +51,12 @@ chargeGemm(hw::GemmEngine engine, const hw::GemmShape &shape,
     }
     vassert(!reconfigured || s->reconfigs,
             "only the MME reconfigures its array");
-    s->gemms.add();
-    s->flops.add(shape.flops());
-    s->busy.add(time);
+    const double times = static_cast<double>(n);
+    s->gemms.add(times, n);
+    s->flops.add(shape.flops() * times, n);
+    s->busy.add(time * times, n);
     if (reconfigured)
-        s->reconfigs->add();
+        s->reconfigs->add(times, n);
 
     obs::AttribBreakdown b;
     b[obs::AttribCat::Compute] = compute;
@@ -69,7 +70,8 @@ chargeGemm(hw::GemmEngine engine, const hw::GemmShape &shape,
                     static_cast<long long>(shape.m),
                     static_cast<long long>(shape.k),
                     static_cast<long long>(shape.n), geometry.c_str());
-    obs::AttributionLedger::instance().charge(s->scope, std::move(op), b);
+    obs::AttributionLedger::instance().charge(s->scope, std::move(op), b,
+                                              n);
 }
 
 hw::GemmCost

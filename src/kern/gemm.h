@@ -18,16 +18,17 @@ hw::GemmCost gemmCost(DeviceKind device, const hw::GemmShape &shape,
                       DataType dt);
 
 /**
- * Charge one costed GEMM: `<engine>.{gemms,flops,busy_seconds}`, and
- * attribution where overlapped compute is useful work, the HBM stall
- * beyond it is memory_bw, and the launch overhead is reconfig if the
- * GEMM switched the MME geometry (also counting `mme.reconfigs`), else
- * exposed_latency. The tensor core never reconfigures: its tile choice
- * is per kernel, not a persistent array shape.
+ * Charge `n` runs of one costed GEMM: `<engine>.{gemms,flops,
+ * busy_seconds}`, and attribution where overlapped compute is useful
+ * work, the HBM stall beyond it is memory_bw, and the launch overhead
+ * is reconfig if the GEMM switched the MME geometry (also counting
+ * `mme.reconfigs`), else exposed_latency. The tensor core never
+ * reconfigures: its tile choice is per kernel, not a persistent array
+ * shape. `n` runs add n times one run's value as n updates.
  */
 void chargeGemm(hw::GemmEngine engine, const hw::GemmShape &shape,
                 const std::string &geometry, Seconds time, Seconds compute,
-                Seconds memory, bool reconfigured);
+                Seconds memory, bool reconfigured, std::uint64_t n = 1);
 
 /**
  * Cost a GEMM and charge it as a one-op sequence, which never counts

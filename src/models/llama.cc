@@ -279,10 +279,11 @@ LlamaModel::stepEval(DeviceKind device, int batch, int tokens_per_request,
 }
 
 void
-LlamaModel::foldStep(const std::vector<std::vector<graph::OpCost>> &graphs)
+LlamaModel::foldStep(const std::vector<std::vector<graph::OpCost>> &graphs,
+                     std::uint64_t n)
 {
     for (const auto &costs : graphs)
-        graph::Executor::fold(costs);
+        graph::Executor::fold(costs, n);
 }
 
 graph::ExecutionReport

@@ -115,12 +115,13 @@ class LlamaModel
                              const LlamaServingConfig &cfg) const;
 
     /**
-     * Charge a step evaluation's graphs, graph by graph, through
-     * graph::Executor::fold: what stepReport() and every memoized
-     * reuse of a StepEval's graphs run, hit or miss.
+     * Charge `n` runs of a step evaluation's graphs, graph by graph,
+     * through graph::Executor::fold: once in stepReport(), and once
+     * per memoized step with its call count in the serving engine.
      */
     static void
-    foldStep(const std::vector<std::vector<graph::OpCost>> &graphs);
+    foldStep(const std::vector<std::vector<graph::OpCost>> &graphs,
+             std::uint64_t n = 1);
 
     /** Convenience: wall time of one step. */
     Seconds stepTime(DeviceKind device, int batch,

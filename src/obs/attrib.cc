@@ -96,7 +96,7 @@ int AttributionLedger::scope(const std::string &name)
 }
 
 void AttributionLedger::charge(int scopeId, std::string opName,
-                               const AttribBreakdown &b)
+                               const AttribBreakdown &b, std::uint64_t n)
 {
     Profiler &profiler = Profiler::instance();
     // Copy the counter pointers out under the lock: scopes_ may
@@ -116,7 +116,7 @@ void AttributionLedger::charge(int scopeId, std::string opName,
         // order. That order is the serial one at one thread; the trace
         // file is outside the determinism contract, so parallel
         // workers simply take their turn under the lock.
-        if (profiler.enabled()) {
+        for (std::uint64_t i = 0; profiler.enabled() && i < n; ++i) {
             AttributedSpan rec;
             rec.scope = scopeId;
             rec.name = opName;
@@ -126,7 +126,7 @@ void AttributionLedger::charge(int scopeId, std::string opName,
             s.cursor += rec.duration;
 
             SpanEvent e;
-            e.name = std::move(opName);
+            e.name = opName;
             e.category = "attrib." + s.name;
             e.group = TrackGroup::Device;
             e.track = s.lane;
@@ -139,12 +139,13 @@ void AttributionLedger::charge(int scopeId, std::string opName,
         }
     }
     // Aggregates ride the normal capture-aware counter path.
+    const double times = static_cast<double>(n);
     for (int c = 0; c < kAttribCats; ++c) {
         const double v = b.seconds[static_cast<std::size_t>(c)];
         if (v != 0.0)
-            cats[static_cast<std::size_t>(c)]->add(v);
+            cats[static_cast<std::size_t>(c)]->add(v * times, n);
     }
-    ops->add(1.0);
+    ops->add(times, n);
 }
 
 std::vector<AttributedSpan> AttributionLedger::records() const

@@ -135,12 +135,14 @@ class AttributionLedger
     int scope(const std::string &name);
 
     /**
-     * Charge one op. `b` must be settled (duration := b.sum()).
-     * Aggregates go to the scope's counters (capture-aware); when the
-     * process profiler is enabled, also appends an AttributedSpan and
-     * a matching profiler Device-lane span, at once.
+     * Charge `n` runs of one op. `b` must be settled (duration :=
+     * b.sum()). Aggregates go to the scope's counters (capture-aware)
+     * as `n` updates of n times one run; when the process profiler is
+     * enabled, also appends `n` AttributedSpans and matching profiler
+     * Device-lane spans, at once.
      */
-    void charge(int scopeId, std::string opName, const AttribBreakdown &b);
+    void charge(int scopeId, std::string opName, const AttribBreakdown &b,
+                std::uint64_t n = 1);
 
     /** Stored per-op spans (tracing-enabled runs only). */
     std::vector<AttributedSpan> records() const;

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/capture.h"
@@ -59,97 +60,44 @@ Engine::Engine(const models::LlamaModel &model, EngineConfig config)
 }
 
 StepCost
-Engine::prefillChunkTime(int chunk, std::int64_t ctx)
+Engine::step(int batch, int tokens_per_request, std::int64_t ctx,
+             bool prefill)
 {
-    // Chunked prefill co-executes with the decode batch; this costs
-    // the chunk alone (the caller overlaps it with the decode step).
-    const int bucket = (chunk + 63) / 64 * 64;
-    const std::int64_t ctx_bucket = std::max<std::int64_t>(
-        bucket, (ctx + 255) / 256 * 256);
     // Like the replay caches, the memo steps aside while the Profiler
-    // traces, so every traced chunk is evaluated and samples its tracks.
+    // traces, so every traced step is evaluated, charged at once and
+    // samples its counter tracks.
     const bool tracing = obs::Profiler::instance().enabled();
-    const auto key = std::make_pair(bucket, ctx_bucket);
-    auto it = tracing ? chunkCache_.end() : chunkCache_.find(key);
+    const auto key = std::make_tuple(batch, tokens_per_request, ctx,
+                                     prefill);
+    auto it = tracing ? steps_.end() : steps_.find(key);
     if (obs::SelfProf::instance().enabled()) {
-        const std::string ck =
-            strfmt("prefill_chunk|%s|n%d|ctx%lld",
-                   deviceName(config_.device), bucket,
-                   static_cast<long long>(ctx_bucket));
-        if (it == chunkCache_.end())
+        // Host work, so SelfProf, never the counter registry.
+        const std::string ck = strfmt(
+            "step|%s|b%d|t%d|ctx%lld|p%d", deviceName(config_.device),
+            batch, tokens_per_request, static_cast<long long>(ctx),
+            prefill ? 1 : 0);
+        if (it == steps_.end())
             obs::SelfProf::instance().cacheMiss(ck);
         else
             obs::SelfProf::instance().cacheHit(ck);
     }
     if (tracing)
-        return costOf(model_.stepReport(config_.device, 1, bucket,
-                                        ctx_bucket, true, servingCfg_));
-    // A miss's evaluation and every call's fold are kernel-eval work,
-    // as in stepReport().
-    obs::SelfTimer self(obs::SelfCat::KernelEval);
-    if (it == chunkCache_.end()) {
-        graph::StepEval eval = model_.stepEval(
-            config_.device, 1, bucket, ctx_bucket, true, servingCfg_);
-        it = chunkCache_
-                 .emplace(key, ChunkStep{costOf(eval.report),
+        return costOf(model_.stepReport(config_.device, batch,
+                                        tokens_per_request, ctx, prefill,
+                                        servingCfg_));
+    if (it == steps_.end()) {
+        // A miss's evaluation is kernel-eval work, as in stepReport().
+        obs::SelfTimer self(obs::SelfCat::KernelEval);
+        graph::StepEval eval =
+            model_.stepEval(config_.device, batch, tokens_per_request,
+                            ctx, prefill, servingCfg_);
+        it = steps_
+                 .emplace(key, StepEntry{costOf(eval.report),
                                          std::move(eval.graphs)})
                  .first;
     }
-    // Every chunk charges its step, hit or miss, as stepReport() does.
-    models::LlamaModel::foldStep(it->second.graphs);
+    it->second.calls++;
     return it->second.cost;
-}
-
-StepCost
-Engine::decodeStepTime(int batch, std::int64_t mean_ctx)
-{
-    const std::int64_t bucket = (mean_ctx + 63) / 64 * 64;
-    const auto key = std::make_pair(batch, bucket);
-    auto it = decodeCache_.find(key);
-    if (obs::SelfProf::instance().enabled()) {
-        // Self-profile cache accounting, keyed kernel x shape x device
-        // x bucket granularity. The split is a pure function of the
-        // schedule, but it measures host work, so it lives in SelfProf
-        // and never in the deterministic counter registry.
-        const std::string ck =
-            strfmt("decode|%s|b%d|ctx%lld", deviceName(config_.device),
-                   batch, static_cast<long long>(bucket));
-        if (it == decodeCache_.end())
-            obs::SelfProf::instance().cacheMiss(ck);
-        else
-            obs::SelfProf::instance().cacheHit(ck);
-    }
-    if (it == decodeCache_.end()) {
-        it = decodeCache_
-                 .emplace(key, costOf(model_.stepReport(
-                                   config_.device, batch, 1, bucket,
-                                   false, servingCfg_)))
-                 .first;
-    }
-    return it->second;
-}
-
-StepCost
-Engine::prefillStepTime(int input_len)
-{
-    const int bucket = (input_len + 63) / 64 * 64;
-    auto it = prefillCache_.find(bucket);
-    if (obs::SelfProf::instance().enabled()) {
-        const std::string ck = strfmt("prefill|%s|in%d",
-                                      deviceName(config_.device), bucket);
-        if (it == prefillCache_.end())
-            obs::SelfProf::instance().cacheMiss(ck);
-        else
-            obs::SelfProf::instance().cacheHit(ck);
-    }
-    if (it == prefillCache_.end()) {
-        it = prefillCache_
-                 .emplace(bucket, costOf(model_.stepReport(
-                                      config_.device, 1, bucket, bucket,
-                                      true, servingCfg_)))
-                 .first;
-    }
-    return it->second;
 }
 
 namespace {
@@ -549,7 +497,8 @@ Engine::RunState::monolithicPrefillStep()
     Request &r = trace[idx];
     if (flow_trace)
         flowAdmit(idx);
-    const StepCost sc = eng.prefillStepTime(r.inputLen);
+    const int bucket = (r.inputLen + 63) / 64 * 64;
+    const StepCost sc = eng.step(1, bucket, bucket, true);
     record(EngineEvent::Kind::Prefill, clock, sc.t, 0, r.inputLen);
     if (tl)
         tlBusy(sc);
@@ -568,8 +517,8 @@ Engine::RunState::idleJump()
 void
 Engine::RunState::preemptScan()
 {
-    // Grow KV for every decoding sequence; preempt the newest on
-    // exhaustion (vLLM's recompute-on-preemption policy).
+    // Grow KV for every decoding sequence, newest to oldest; preempt
+    // each one whose growth fails, to recompute it later.
     // Preemptions happen at the current clock, which may sit past an
     // unclosed window boundary (the scan precedes the step's record);
     // closing here keeps them attributed to the right window.
@@ -588,6 +537,7 @@ Engine::RunState::preemptScan()
                 phase_start[running[k]] = clock;
             }
             kv.release(static_cast<std::int64_t>(running[k]));
+            last_preempted = running[k];
             r.generated = 0;
             r.prefilled = false;
             r.prefillProgress = 0;
@@ -609,9 +559,10 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
         std::int64_t ctx_sum = 0;
         for (auto i : running)
             ctx_sum += trace[i].inputLen + trace[i].generated;
-        dc = eng.decodeStepTime(
-            static_cast<int>(running.size()),
-            ctx_sum / static_cast<std::int64_t>(running.size()));
+        const std::int64_t mean_ctx =
+            ctx_sum / static_cast<std::int64_t>(running.size());
+        dc = eng.step(static_cast<int>(running.size()), 1,
+                      (mean_ctx + 63) / 64 * 64, false);
     }
     const Seconds decode_time = dc.t;
 
@@ -627,7 +578,12 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
             flowAdmit(chunk_idx);
         chunk = std::min(eng.config_.chunkedPrefillTokens,
                          r.inputLen - r.prefillProgress);
-        pc = eng.prefillChunkTime(chunk, r.prefillProgress);
+        // The chunk alone; the step below overlaps it with the decode.
+        const int bucket = (chunk + 63) / 64 * 64;
+        pc = eng.step(1, bucket,
+                      std::max<std::int64_t>(
+                          bucket, (r.prefillProgress + 255) / 256 * 256),
+                      true);
     }
     const Seconds chunk_time = pc.t;
 
@@ -742,6 +698,16 @@ Engine::RunState::finalize()
         decode_steps ? batch_sum / static_cast<double>(decode_steps)
                      : 0;
 
+    // Device counters: each memoized step once, in key order, with the
+    // number of times this run took it; the counts restart at zero.
+    {
+        obs::SelfTimer self(obs::SelfCat::KernelEval);
+        for (auto &[key, e] : eng.steps_)
+            if (e.calls > 0)
+                models::LlamaModel::foldStep(e.graphs,
+                                             std::exchange(e.calls, 0));
+    }
+
     // Step telemetry, published once: each add/set carries the number
     // of per-step updates it stands for, so value, peak and update
     // count equal per-step publication (integer sums are exact).
@@ -789,7 +755,7 @@ Engine::run(std::vector<Request> trace)
 {
     vassert(!trace.empty(), "empty trace");
     // Engine-loop self time; the kernel-eval timers nested inside the
-    // step caches subtract themselves out (see obs/selfprof.h).
+    // step memo subtract themselves out (see obs/selfprof.h).
     obs::SelfTimer self(obs::SelfCat::EngineStep);
     std::sort(trace.begin(), trace.end(),
               [](const Request &a, const Request &b) {
@@ -799,7 +765,13 @@ Engine::run(std::vector<Request> trace)
 
     RunState st(*this, trace);
     // A request whose worst-case KV exceeds the whole pool can never
-    // finish: it is either never admitted or preempted forever.
+    // finish: it is either never admitted or preempted forever. And
+    // before a run delivers its next new token it at most re-prefills
+    // and re-decodes tokens it already delivered, so a run that goes
+    // the trace's prompt and output tokens, plus one iteration per
+    // request, without one re-admits preempted requests into the same
+    // KV shortage forever.
+    std::int64_t bound = 0;
     for (const Request &r : trace) {
         const std::int64_t need = std::max<std::int64_t>(
             st.reserveTokens(r),
@@ -814,9 +786,28 @@ Engine::run(std::vector<Request> trace)
                 static_cast<long long>(st.kv.totalBlocks()),
                 st.paged ? "blockTokens" : "maxModelLen",
                 kvBlockTokens(config_));
+        bound += static_cast<std::int64_t>(r.inputLen) + r.outputLen + 1;
     }
-    while (st.remaining > 0)
+    std::int64_t stalled = 0;
+    for (std::int64_t delivered = 0; st.remaining > 0;
+         delivered = st.generated_total) {
         st.fullIteration();
+        stalled = st.generated_total == delivered ? stalled + 1 : 0;
+        const Request &r = trace[st.last_preempted];
+        vassert(stalled <= bound,
+                "engine made no progress in %lld iterations: request "
+                "%lld (inputLen %d, outputLen %d) is preempted and "
+                "re-admitted without delivering a token; kvCacheBytes="
+                "%llu (%lld blocks) under schedPolicy=%s cannot hold its "
+                "running set",
+                static_cast<long long>(stalled),
+                static_cast<long long>(r.id), r.inputLen, r.outputLen,
+                static_cast<unsigned long long>(config_.kvCacheBytes),
+                static_cast<long long>(st.kv.totalBlocks()),
+                config_.schedPolicy == SchedPolicy::Fcfs
+                    ? "Fcfs"
+                    : "ShortestPromptFirst");
+    }
     return st.finalize();
 }
 

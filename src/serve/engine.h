@@ -6,21 +6,19 @@
  * Iteration-level scheduling in the ORCA/vLLM style: each engine step
  * either prefills one admitted request or decodes one token for every
  * running request. KV blocks are allocated on demand from a
- * PagedKvCache; when the pool runs dry the newest running request is
- * preempted and re-queued. Step latencies come from the LlamaModel's
- * graph execution with the configured attention backend.
+ * PagedKvCache; when the pool runs dry, the decode scan preempts and
+ * re-queues, newest to oldest, each running request whose growth
+ * fails. Step latencies come from the LlamaModel's graph execution
+ * with the configured attention backend.
  *
- * Step costs are memoized per engine in plain maps keyed by batch and
- * context bucket: a decode run revisits the same few buckets thousands
- * of times, and a map hit is far cheaper than even a step replay-cache
- * hit (docs/runtime.md). A miss evaluates the step eagerly on the
- * calling thread, so counter side effects land in schedule order at
- * any thread count. The decode and monolithic-prefill memos charge a
- * step once, at its miss; the chunked-prefill memo keeps the step's
- * per-node costs and folds them on every call, hit or miss, so its
- * counters see every chunk. Like the replay caches, the chunk memo
- * steps aside while the Profiler traces, so traced chunks sample the
- * executor's counter tracks on every call.
+ * Step costs are memoized per engine in one plain map: a decode run
+ * revisits the same few buckets thousands of times, and a map hit is
+ * far cheaper than even a step replay-cache hit (docs/runtime.md). A
+ * miss evaluates the step and a hit counts the call; the run's end
+ * charges each entry once, in key order, with its call count, so
+ * device counters count executed steps at any thread count. Like the
+ * replay caches, the memo steps aside while the Profiler traces, so
+ * each traced step is charged at once and samples its counter tracks.
  */
 
 #ifndef VESPERA_SERVE_ENGINE_H
@@ -29,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "models/llama.h"
@@ -161,9 +160,9 @@ class Engine
     Bytes kvBudget() const { return kvBudget_; }
 
   private:
-    StepCost decodeStepTime(int batch, std::int64_t mean_ctx);
-    StepCost prefillStepTime(int input_len);
-    StepCost prefillChunkTime(int chunk, std::int64_t ctx);
+    /** One step, with stepEval's arguments, through the step memo. */
+    StepCost step(int batch, int tokens_per_request, std::int64_t ctx,
+                  bool prefill);
 
     /**
      * Mutable state of one run() plus the scheduler phases. Defined in
@@ -174,21 +173,15 @@ class Engine
     const models::LlamaModel &model_;
     EngineConfig config_;
     models::LlamaServingConfig servingCfg_;
-    /// Memoized decode step times keyed by (batch, ctx bucket).
-    std::map<std::pair<int, std::int64_t>, StepCost> decodeCache_;
-    /// Memoized monolithic prefill step times keyed by input bucket.
-    std::map<int, StepCost> prefillCache_;
-    /// A memoized prefill chunk: its cost plus the per-node costs of
-    /// its layer and LM-head graphs, which every call folds again.
-    struct ChunkStep
+    /// A step's cost, its graphs' per-node costs, and this run's calls.
+    struct StepEntry
     {
         StepCost cost;
         std::vector<std::vector<graph::OpCost>> graphs;
+        std::uint64_t calls = 0;
     };
-    /// Memoized prefill chunks keyed by (chunk bucket, ctx bucket).
-    /// Separate from prefillCache_: a chunk and a monolithic prefill
-    /// can share a bucket pair, but only the chunk folds on a hit.
-    std::map<std::pair<int, std::int64_t>, ChunkStep> chunkCache_;
+    /// The step memo, keyed by stepEval's arguments.
+    std::map<std::tuple<int, int, std::int64_t, bool>, StepEntry> steps_;
     std::vector<EngineEvent> events_;
     Bytes kvBudget_ = 0;
 };

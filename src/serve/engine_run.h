@@ -16,7 +16,8 @@
  *                              the iteration ends)
  *   4. idleJump()              nothing runnable: clock jumps to the
  *                              next arrival (then the iteration ends)
- *   5. preemptScan()           KV growth; preempt newest on exhaustion
+ *   5. preemptScan()           KV growth, newest to oldest; preempt
+ *                              each request whose growth fails
  *   6. decodeChunkStep()       the decode batch + optional co-run
  *                              prefill chunk, telemetry, bookkeeping
  *
@@ -31,7 +32,8 @@
  * iteration with no arrival and no preemption does no ordering work.
  *
  * Step telemetry (engine.* and kv.blocks_in_use) is tallied here and
- * published once, by finalize(), with the per-step update counts. The
+ * published once, by finalize(), with the per-step update counts, as
+ * are the memoized steps' device counters. The
  * latency histograms and the timeline payload are not published here:
  * they accumulate in the returned ServingMetrics, and the caller lands
  * them with serve::publish().
@@ -137,6 +139,7 @@ struct Engine::RunState
 
     Seconds clock = 0;
     std::int64_t generated_total = 0;
+    std::size_t last_preempted = 0; ///< Named by run()'s progress bound.
     /// The result; its streaming ttft/tpot histograms fill as
     /// requests progress.
     ServingMetrics m;

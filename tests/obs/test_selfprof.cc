@@ -417,7 +417,7 @@ TEST_F(SelfProfTest, FixedScenarioCountsArePinned)
         std::uint64_t calls, allocBytes, allocCount;
     };
     constexpr std::array<Pin, kSelfCats> kPins = {{
-        {75, 0, 0},         // kernel_eval
+        {76, 0, 0},         // kernel_eval
         {48, 3932160, 528}, // trace_record
         {8, 0, 0},          // graph_build
         {1, 0, 0},          // engine_step
@@ -441,7 +441,7 @@ TEST_F(SelfProfTest, FixedScenarioCountsArePinned)
     EXPECT_EQ(serial.snap.cacheHits, 74u);
     EXPECT_EQ(serial.snap.cacheMisses, 45u);
     EXPECT_EQ(serial.snap.cacheKeyCount, 45u);
-    EXPECT_EQ(serial.digest, "8258483c8336d18f");
+    EXPECT_EQ(serial.digest, "02633ea5ba6c40d8");
 
     // The counts, allocations and device counters do not depend on
     // the thread count; the replay caches' hit/miss split may.

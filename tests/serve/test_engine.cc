@@ -1,6 +1,8 @@
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "digest.h"
 #include "obs/capture.h"
 #include "obs/counters.h"
+#include "obs/export.h"
 #include "obs/profiler.h"
 #include "obs/timeline.h"
 #include "runtime/pool.h"
@@ -488,14 +491,14 @@ TEST_F(EngineGolden, LiveMatchesReference)
 
 // Chunked prefill at chunk sizes off the 64-token bucket grid: a run
 // revisits each (chunk bucket, context bucket) pair many times, so the
-// engine's chunk memo serves most chunks from a hit. Each expected
+// engine's step memo serves most chunks from a hit. Each expected
 // string adds a digest of every device counter (all but runtime.* and
-// replay.*), which the per-chunk folds feed: a hit must charge the
-// graph, GEMM and attribution counters exactly as a miss. Printed by
+// replay.*), which the run charges once per memoized step with its
+// call count. The metric, event and engine/kv parts were printed by
 // the engine that evaluated every chunk through
 // LlamaModel::stepReport. Both paged runs preempt; SPF on a paged pool
 // stays at 512 MiB, clear of the preemption livelock a 384 MiB pool
-// runs into.
+// runs into (SpfLivelockFailsNamingTheStuckRequest).
 const GoldenScenario kChunkGolden[] = {
     {"fcfs_paged_chunk96", SchedPolicy::Fcfs, KvPolicy::Paged, 96,
      "makespan=0x1.c9a828ef50d35p+2 thr=0x1.9082792f6f4b1p+8"
@@ -508,7 +511,7 @@ const GoldenScenario kChunkGolden[] = {
      " engine.recomputed_tokens=72/72/72 kv.blocks_in_use=4/32/769"
      " kv.blocks_allocated=328/328/66"
      " kv.blocks_high_water=28/32/66 kv.grow_failures=3/3/3"
-     " counters=cc6486267b28c2f0"},
+     " counters=7a8e67fa9e52adce"},
     {"fcfs_contig_chunk160", SchedPolicy::Fcfs, KvPolicy::Contiguous,
      160,
      "makespan=0x1.27b1695a6da24p+3 thr=0x1.35f16cedeed1dp+8"
@@ -521,7 +524,7 @@ const GoldenScenario kChunkGolden[] = {
      " engine.preemptions=0/0/0 engine.recomputed_tokens=0/0/0"
      " kv.blocks_in_use=1/3/1024 kv.blocks_allocated=48/48/48"
      " kv.blocks_high_water=3/3/48 kv.grow_failures=0/0/0"
-     " counters=5c16d5f8e1397529"},
+     " counters=c38f9b48eb1a5f92"},
     {"spf_paged_chunk128", SchedPolicy::ShortestPromptFirst,
      KvPolicy::Paged, 128,
      "makespan=0x1.d4230d38f19c8p+2 thr=0x1.878b273fb6543p+8"
@@ -534,7 +537,7 @@ const GoldenScenario kChunkGolden[] = {
      " engine.recomputed_tokens=376/376/376"
      " kv.blocks_in_use=12/32/799 kv.blocks_allocated=346/346/71"
      " kv.blocks_high_water=22/32/71 kv.grow_failures=8/8/8"
-     " counters=ef15bdc59c5791fb"},
+     " counters=5fac88076c696533"},
     {"spf_contig_chunk200", SchedPolicy::ShortestPromptFirst,
      KvPolicy::Contiguous, 200,
      "makespan=0x1.29370388df1f5p+3 thr=0x1.345b237ac8009p+8"
@@ -547,7 +550,7 @@ const GoldenScenario kChunkGolden[] = {
      " engine.preemptions=0/0/0 engine.recomputed_tokens=0/0/0"
      " kv.blocks_in_use=1/3/1042 kv.blocks_allocated=48/48/48"
      " kv.blocks_high_water=3/3/48 kv.grow_failures=0/0/0"
-     " counters=afc157881e312a61"},
+     " counters=13d55dd693fff80a"},
 };
 
 TEST_F(EngineGolden, ChunkedPrefillMatchesReference)
@@ -561,6 +564,29 @@ TEST_F(EngineGolden, ChunkedPrefillMatchesReference)
                       " counters=" + test::deviceCounterDigest(),
                   s.expected);
     }
+}
+
+// SPF on a 384 MiB paged pool: long prompts fill it, and each needs
+// one more block at the same decoded token. The request whose growth
+// fails is re-admitted at once and fails again, so the progress bound
+// stops the run and names it. FCFS on the same pool finishes.
+TEST_F(EngineGolden, SpfLivelockFailsNamingTheStuckRequest)
+{
+    GoldenScenario s = kGolden[5];
+    ASSERT_STREQ(s.name, "spf_paged_mono");
+    EngineConfig cfg = goldenConfig(s);
+    cfg.kvCacheBytes = 384ull << 20;
+    Engine spf(model_, cfg);
+    EXPECT_DEATH(spf.run(goldenTrace()),
+                 "engine made no progress in [0-9]+ iterations: request "
+                 "[0-9]+ \\(inputLen [0-9]+, outputLen [0-9]+\\) is "
+                 "preempted.*kvCacheBytes=402653184 \\(24 blocks\\) "
+                 "under schedPolicy=ShortestPromptFirst");
+
+    cfg.schedPolicy = SchedPolicy::Fcfs;
+    const ServingMetrics m = Engine(model_, cfg).run(goldenTrace());
+    EXPECT_EQ(m.completed, 48);
+    EXPECT_EQ(m.preemptions, 5);
 }
 
 std::uint64_t
@@ -660,30 +686,87 @@ TEST_F(EngineGolden, ParallelSweepMatchesSerial)
     EXPECT_EQ(sweep(4), serial);
 }
 
-// The chunk memo folds a chunk's per-node costs on every call, so a
-// run whose chunks all hit charges what a run that missed charges.
-// The trace only prefills (one output token each): the decode memo
-// charges a step once, at its miss, so decode steps would make the
-// second run's counters differ by design.
-TEST_F(EngineTest, ChunkMemoHitsFoldLikeMisses)
+// Both prefill modes, so a run takes every step kind: monolithic
+// prefill and decode steps, or chunk, mixed and decode steps.
+constexpr int kChunkedPrefillTokens[] = {0, 160};
+
+double
+counterValue(const char *name)
 {
-    EngineConfig cfg = baseConfig();
-    cfg.chunkedPrefillTokens = 160;
-    Engine engine(model_, cfg);
-    std::vector<std::string> docs;
-    for (int pass = 0; pass < 2; pass++) {
-        obs::CounterRegistry::instance().reset();
-        engine.run(makeFixedTrace(8, 1000, 1));
-        docs.push_back(test::deviceCounterDoc());
-    }
-    EXPECT_NE(docs[0].find("graph.ops="), std::string::npos);
-    EXPECT_EQ(docs[1], docs[0]);
+    const obs::Counter *c = obs::CounterRegistry::instance().find(name);
+    return c ? c->value() : 0;
 }
 
-// While the Profiler traces, the chunk memo steps aside like the
-// replay caches: a second traced run on the same engine evaluates
-// every chunk again and samples as many MME utilization points.
-TEST_F(EngineTest, TracedChunksBypassTheChunkMemo)
+// A second run on one engine takes every step from the step memo and
+// charges what the first run charged.
+TEST_F(EngineTest, SecondRunChargesLikeTheFirst)
+{
+    for (const int chunk : kChunkedPrefillTokens) {
+        SCOPED_TRACE(chunk);
+        EngineConfig cfg = baseConfig();
+        cfg.chunkedPrefillTokens = chunk;
+        Engine engine(model_, cfg);
+        std::vector<std::string> docs;
+        for (int pass = 0; pass < 2; pass++) {
+            obs::CounterRegistry::instance().reset();
+            engine.run(makeFixedTrace(8, 1000, 16));
+            docs.push_back(test::deviceCounterDoc());
+        }
+        EXPECT_NE(docs[0].find("graph.ops="), std::string::npos);
+        EXPECT_EQ(docs[1], docs[0]);
+    }
+}
+
+// Device counters count executed steps: graph.ops and mme.gemms equal
+// one step's node and GEMM counts summed over the run's events, with
+// a mixed step counting as a decode step plus a chunk.
+TEST_F(EngineTest, DeviceCountersCountExecutedSteps)
+{
+    auto charges = [this](int batch, int tokens, std::int64_t ctx,
+                          bool prefill) {
+        obs::CounterRegistry::instance().reset();
+        models::LlamaServingConfig scfg;
+        scfg.attention = EngineConfig{}.attention;
+        model_.stepReport(DeviceKind::Gaudi2, batch, tokens, ctx, prefill,
+                          scfg);
+        return std::make_pair(counterValue("graph.ops"),
+                              counterValue("mme.gemms"));
+    };
+    // A step's node and GEMM counts do not depend on its shape.
+    const auto decode = charges(4, 1, 512, false);
+    ASSERT_EQ(charges(16, 1, 2048, false), decode);
+    const auto prefill = charges(1, 256, 256, true);
+    ASSERT_EQ(charges(1, 64, 1024, true), prefill);
+    ASSERT_GT(decode.second, 0);
+
+    for (const int chunk : kChunkedPrefillTokens) {
+        SCOPED_TRACE(chunk);
+        EngineConfig cfg = baseConfig();
+        cfg.chunkedPrefillTokens = chunk;
+        cfg.recordEvents = true;
+        Engine engine(model_, cfg);
+        obs::CounterRegistry::instance().reset();
+        engine.run(makeFixedTrace(8, 1000, 16));
+        double ops = 0, gemms = 0;
+        for (const EngineEvent &e : engine.events()) {
+            if (e.decodeBatch > 0) {
+                ops += decode.first;
+                gemms += decode.second;
+            }
+            if (e.prefillTokens > 0) {
+                ops += prefill.first;
+                gemms += prefill.second;
+            }
+        }
+        EXPECT_EQ(counterValue("graph.ops"), ops);
+        EXPECT_EQ(counterValue("mme.gemms"), gemms);
+    }
+}
+
+// While the Profiler traces, the step memo steps aside like the replay
+// caches: a second traced run on the same engine evaluates every step
+// again and samples as many MME utilization points.
+TEST_F(EngineTest, TracedStepsBypassTheStepMemo)
 {
     obs::Profiler &prof = obs::Profiler::instance();
     struct Guard
@@ -694,22 +777,77 @@ TEST_F(EngineTest, TracedChunksBypassTheChunkMemo)
             obs::Profiler::instance().clear();
         }
     } guard;
-    EngineConfig cfg = baseConfig();
-    cfg.chunkedPrefillTokens = 160;
-    Engine engine(model_, cfg);
-    std::vector<std::size_t> mme_samples;
-    for (int pass = 0; pass < 2; pass++) {
-        prof.clear();
-        prof.setEnabled(true);
-        engine.run(makeFixedTrace(8, 1000, 1));
-        prof.setEnabled(false);
-        std::size_t n = 0;
-        for (const obs::TrackSample &s : prof.samples())
-            n += s.track == "mme.utilization" ? 1 : 0;
-        mme_samples.push_back(n);
+    for (const int chunk : kChunkedPrefillTokens) {
+        SCOPED_TRACE(chunk);
+        EngineConfig cfg = baseConfig();
+        cfg.chunkedPrefillTokens = chunk;
+        Engine engine(model_, cfg);
+        std::vector<std::size_t> mme_samples;
+        for (int pass = 0; pass < 2; pass++) {
+            prof.clear();
+            prof.setEnabled(true);
+            engine.run(makeFixedTrace(8, 1000, 16));
+            prof.setEnabled(false);
+            std::size_t n = 0;
+            for (const obs::TrackSample &s : prof.samples())
+                n += s.track == "mme.utilization" ? 1 : 0;
+            mme_samples.push_back(n);
+        }
+        EXPECT_GT(mme_samples[0], 0u);
+        EXPECT_EQ(mme_samples[1], mme_samples[0]);
     }
-    EXPECT_GT(mme_samples[0], 0u);
-    EXPECT_EQ(mme_samples[1], mme_samples[0]);
+}
+
+/**
+ * Every device counter's name and update count, and its value where it
+ * counts whole things: a traced run charges step by step, an untraced
+ * one charges n runs of a step as n times one run, so only the sums of
+ * fractional values may round apart.
+ */
+std::string
+deviceCountDoc()
+{
+    std::string doc;
+    for (const obs::CounterSnapshot &c :
+         obs::CounterRegistry::instance().snapshot()) {
+        if (c.updates == 0 || obs::isHostTelemetry(c.name))
+            continue;
+        doc += strfmt("%s/%llu", c.name.c_str(),
+                      static_cast<unsigned long long>(c.updates));
+        if (std::trunc(c.value) == c.value)
+            doc += strfmt("=%.17g", c.value);
+        doc += ";";
+    }
+    return doc;
+}
+
+// A traced run charges each step as it goes, an untraced one charges
+// each memoized step once at the end: both count the same steps.
+TEST_F(EngineTest, TracedRunChargesLikeUntraced)
+{
+    struct Guard
+    {
+        ~Guard()
+        {
+            obs::Profiler::instance().setEnabled(false);
+            obs::Profiler::instance().clear();
+        }
+    } guard;
+    for (const int chunk : kChunkedPrefillTokens) {
+        SCOPED_TRACE(chunk);
+        EngineConfig cfg = baseConfig();
+        cfg.chunkedPrefillTokens = chunk;
+        std::vector<std::string> docs;
+        for (const bool traced : {false, true}) {
+            obs::CounterRegistry::instance().reset();
+            obs::Profiler::instance().setEnabled(traced);
+            Engine(model_, cfg).run(makeFixedTrace(8, 1000, 16));
+            obs::Profiler::instance().setEnabled(false);
+            docs.push_back(deviceCountDoc());
+        }
+        EXPECT_NE(docs[0].find("graph.ops/"), std::string::npos);
+        EXPECT_EQ(docs[1], docs[0]);
+    }
 }
 
 TEST_F(EngineTest, EventsOffByDefault)
